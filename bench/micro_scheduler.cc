@@ -43,34 +43,68 @@ BM_AddressRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_AddressRoundTrip);
 
+/**
+ * One FR-FCFS pick that finds nothing to issue, the common case under
+ * load, with state.range(0) queued requests spread over all 16 banks
+ * of two ranks. Four banks per rank were just activated (so tFAW
+ * blocks every further ACT) and hold rows no request wants, so the
+ * pick walks row-hit candidates, ACT candidates and conflict
+ * precharges (still short of tRAS) and returns nothing. The state is
+ * frozen at one tick, so every iteration repeats the same pick. The
+ * three depths show how its cost grows with the queue: the pick walks
+ * every request of an open bank to rule out a row hit.
+ */
 void
-BM_FrFcfsPickFullQueue(benchmark::State &state)
+BM_FrFcfsPickNothingIssuable(benchmark::State &state)
 {
     MemConfig cfg;
     cfg.finalize();
-    const TimingParams timing = TimingParams::ddr3_1333(cfg);
+    const TimingParams timing = TimingParams::forConfig(cfg);
     Channel channel(&cfg, &timing);
-    RequestQueue queue(64, 2, 8);
-    // Fill the queue across banks/rows; none issuable after we consume
-    // the first pick, which is the worst-case scan.
-    for (int i = 0; i < 64; ++i) {
+    const int ranks = cfg.org.ranksPerChannel;
+    const int banks = cfg.org.banksPerRank;
+
+    // Open banks 0-3 of each rank on row 1, as fast as tRRD allows.
+    Tick now = 0;
+    int opened[2] = {0, 0};
+    while (opened[0] < 4 || opened[1] < 4) {
+        for (RankId r = 0; r < ranks; ++r) {
+            Command act;
+            act.type = CommandType::kAct;
+            act.rank = r;
+            act.bank = opened[r];
+            act.row = 1;
+            if (opened[r] < 4 && channel.canIssue(act, now)) {
+                channel.issue(act, now);
+                ++opened[r];
+                break;  // One command per tick.
+            }
+        }
+        ++now;
+    }
+
+    RequestQueue queue(64, ranks, banks);
+    const int depth = static_cast<int>(state.range(0));
+    for (int i = 0; i < depth; ++i) {
         Request req;
         req.id = i;
-        req.loc.rank = i % 2;
-        req.loc.bank = (i / 2) % 8;
+        req.loc.rank = i % ranks;
+        req.loc.bank = (i / ranks) % banks;
         req.loc.row = 100 + i;
         queue.push(req);
     }
-    const std::vector<std::uint8_t> no_bank(16, 0);
-    const std::vector<std::uint8_t> no_rank(2, 0);
-    Tick now = 0;
+    const std::vector<std::uint8_t> no_bank(ranks * banks, 0);
+    const std::vector<std::uint8_t> no_rank(ranks, 0);
+    if (FrFcfs::pick(queue, channel, now, no_bank, no_rank, banks).valid) {
+        state.SkipWithError("set-up left a command issuable");
+        return;
+    }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            FrFcfs::pick(queue, channel, now, no_bank, no_rank, 8));
-        ++now;
+            FrFcfs::pick(queue, channel, now, no_bank, no_rank, banks));
     }
 }
-BENCHMARK(BM_FrFcfsPickFullQueue);
+BENCHMARK(BM_FrFcfsPickNothingIssuable)->Arg(8)->Arg(32)->Arg(64);
 
 void
 SystemTicks(benchmark::State &state, RefreshMode mode, bool sarp)

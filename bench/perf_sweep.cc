@@ -3,16 +3,16 @@
  * Wall-clock benchmark of the simulation engines over the fig13
  * all-mechanisms x all-specs grid, written to BENCH_sweep.json.
  *
- * Three timed passes over the same grid: the seed configuration
+ * Three timed passes over the same grid: the reference configuration
  * (cycle engine, one thread), the event engine on one thread, and the
  * event engine sharded across --jobs worker threads. The alone-IPC
  * cache is prewarmed before any pass so the baselines' simulation cost
- * is charged to none of them. Exits non-zero when the event engine is
- * slower than the cycle engine beyond --tolerance, which is the CI
- * perf-smoke gate.
+ * is charged to none of them. Exits non-zero when the passes' results
+ * differ or event x1 is less than kMinSpeedup times as fast as
+ * cycle x1, which is the CI perf-smoke gate.
  *
- * Flags: --grid fig13|smoke, --jobs N, --tolerance F, --out FILE
- * (plus the usual DSARP_BENCH_* scale knobs).
+ * Flags: --grid fig13|smoke, --jobs N, --out FILE (plus the usual
+ * DSARP_BENCH_* scale knobs).
  */
 
 #include <chrono>
@@ -28,6 +28,15 @@ using namespace dsarp;
 using namespace dsarp::bench;
 
 namespace {
+
+/**
+ * Gate floor on the event x1 / cycle x1 speedup, chosen from the spread
+ * of 20 smoke-grid runs at the CI scale knobs (50000 + 5000 cycles, one
+ * workload per category) on a 4-thread host: median 1.47, quartiles
+ * 1.38 / 1.62, lowest 1.21. Passes that short move with the host's
+ * speed, so the floor sits about 10% under the lowest run.
+ */
+constexpr double kMinSpeedup = 1.10;
 
 /** One (spec, mechanism, density) cell of the timed grid. */
 struct GridPoint
@@ -124,14 +133,11 @@ main(int argc, char **argv)
 
     std::string grid_name = "fig13";
     std::string out_path = "BENCH_sweep.json";
-    double tolerance = 0.05;
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::strcmp(argv[i], "--grid") == 0)
             grid_name = argv[i + 1];
         else if (std::strcmp(argv[i], "--out") == 0)
             out_path = argv[i + 1];
-        else if (std::strcmp(argv[i], "--tolerance") == 0)
-            tolerance = std::atof(argv[i + 1]);
     }
     if (grid_name != "fig13" && grid_name != "smoke")
         DSARP_FATALF("--grid: '%s' is not \"fig13\" or \"smoke\"",
@@ -194,8 +200,8 @@ main(int argc, char **argv)
         std::printf("alone-IPC prewarm: %.2fs\n", secondsSince(t0));
     }
 
-    // Pass 1 is the seed configuration this PR is measured against:
-    // the cycle-by-cycle engine on a single thread.
+    // Pass 1 is the reference: the cycle-by-cycle engine on a single
+    // thread.
     std::vector<PassResult> passes;
     passes.push_back(runPass(runner, grid, workloads, "cycle", 1));
     std::printf("cycle  x1: %8.2fs  (%.2e sim-cycles/sec)\n",
@@ -241,8 +247,8 @@ main(int argc, char **argv)
                  cycle1 / eventJ);
     std::fprintf(f, "  \"results_identical\": %s,\n",
                  identical ? "true" : "false");
-    std::fprintf(f, "  \"gate_tolerance\": %.4f,\n", tolerance);
-    const bool gate_ok = identical && event1 <= cycle1 * (1.0 + tolerance);
+    std::fprintf(f, "  \"gate_min_speedup\": %.4f,\n", kMinSpeedup);
+    const bool gate_ok = identical && cycle1 >= event1 * kMinSpeedup;
     std::fprintf(f, "  \"gate_pass\": %s,\n", gate_ok ? "true" : "false");
     std::fprintf(f, "  \"passes\": [\n");
     for (std::size_t i = 0; i < passes.size(); ++i)
@@ -254,8 +260,8 @@ main(int argc, char **argv)
     if (!gate_ok) {
         std::fprintf(stderr,
                      "FAIL: event engine %.2fs vs cycle %.2fs "
-                     "(tolerance %.1f%%) or results diverged\n",
-                     event1, cycle1, tolerance * 100.0);
+                     "(speedup floor %.2fx) or results diverged\n",
+                     event1, cycle1, kMinSpeedup);
         return 1;
     }
     footer(runner);

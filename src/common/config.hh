@@ -406,12 +406,12 @@ struct SystemConfig
     bool enableChecker = false;  ///< Attach the timing-invariant checker.
 
     /**
-     * Simulation engine (config key "sim.engine"): "cycle" steps every
-     * DRAM tick (the legacy loop, kept forever as the reference);
-     * "event" skips to the earliest next deadline any component
-     * reports, with bit-identical commands, stats, and RNG streams.
+     * Simulation engine (config key "sim.engine"): "event" (default)
+     * skips to the earliest next deadline any component reports, with
+     * commands, stats, and RNG streams bit-identical to "cycle", which
+     * steps every DRAM tick and is kept as the reference oracle.
      */
-    std::string engine = "cycle";
+    std::string engine = "event";
 
     /** Validate core/system keys, then the memory config; a fatal
      *  named-key error on inconsistent values. */

@@ -210,8 +210,10 @@ class ChannelController : public ControllerView
      * enqueue zeroes this), no command issued (ditto), no DRAM timing
      * threshold expires before the issuability deadline, and the
      * refresh policy's urgent set is fixed until its own wake. Set by
-     * nextWake() after an inert tick, so only event-engine runs
-     * benefit; the cycle engine always runs the full pick.
+     * nextWake() after an inert tick. Only the event engine calls
+     * nextWake(), so the cycle engine (the reference loop) runs the
+     * pick on every tick; the event engine, the default, skips it at
+     * wakes inside the frozen span.
      */
     Tick pickSkipUntil_ = 0;
     /// @}

@@ -1,17 +1,23 @@
 /**
  * @file
- * Bounded request queue with per-bank occupancy counters.
+ * Bounded request queue with a per-bank, age-ordered request index.
  *
  * Requests are kept in arrival order (index 0 is the oldest) so the
- * FR-FCFS scan can honour age. The per-bank counters are what DARP's
- * out-of-order refresh monitors (paper Section 4.2.1).
+ * FR-FCFS pick can honour age. Alongside, every bank keeps a list of
+ * its own requests (arrival number, row, address, direction), oldest
+ * first, maintained on push and pop, plus a bitmap of the banks that
+ * have any. Arrival
+ * numbers never change while a request waits, so a pop touches only
+ * its own bank's list. The pick walks only occupied banks instead of
+ * every entry, and the per-bank counts are what DARP's out-of-order
+ * refresh monitors (paper Section 4.2.1).
  */
 
 #ifndef DSARP_CONTROLLER_QUEUES_HH
 #define DSARP_CONTROLLER_QUEUES_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -22,6 +28,20 @@ namespace dsarp {
 class RequestQueue
 {
   public:
+    /**
+     * One request in a bank's index: its arrival number and what the
+     * pick and the forwarding lookup test. Arrival numbers grow with
+     * every push, so comparing them compares age across banks; index()
+     * turns one into a queue index.
+     */
+    struct Slot
+    {
+        std::uint64_t seq;
+        Addr addr;
+        RowId row;
+        bool isWrite;
+    };
+
     RequestQueue(int capacity, int ranks, int banksPerRank);
 
     bool full() const { return size() >= capacity_; }
@@ -38,42 +58,64 @@ class RequestQueue
     /** Remove and return the request at index @p i. */
     Request pop(int i);
 
-    /** Queued requests targeting a bank. */
-    int bankCount(RankId r, BankId b) const
+    /** Arrival number of the request at index @p i. */
+    std::uint64_t seqAt(int i) const { return seqs_[i]; }
+
+    /** Queue index of the queued request with arrival number @p seq. */
+    int index(std::uint64_t seq) const;
+
+    /** Flat bank index (rank-major) used by the per-bank index. */
+    int bankIndex(RankId r, BankId b) const { return r * banksPerRank_ + b; }
+
+    /**
+     * Banks of rank @p r with queued requests: bit (b % 64) of word
+     * (b / 64) is set while bank b has any.
+     */
+    std::span<const std::uint64_t>
+    occupied(RankId r) const
     {
-        return bankCount_[r * banks_ + b];
+        return {occupied_.data() + r * wordsPerRank_,
+                static_cast<std::size_t>(wordsPerRank_)};
+    }
+
+    int numRanks() const { return ranks_; }
+
+    /** Requests queued for flat bank @p idx, oldest first. */
+    std::span<const Slot> bank(int idx) const { return banks_[idx]; }
+
+    /** Queued requests targeting a bank. */
+    int
+    bankCount(RankId r, BankId b) const
+    {
+        return static_cast<int>(banks_[bankIndex(r, b)].size());
     }
 
     /** Queued requests targeting a rank. */
     int rankCount(RankId r) const;
 
-    /** First index whose request matches @p addr, or -1. */
-    int findAddr(Addr addr) const;
+    /** Queued requests for (rank, bank, row): a walk of the bank's list. */
+    int rowCount(RankId r, BankId b, RowId row) const;
 
-    /** Requests queued for (rank, bank, row), e.g. row-hit bookkeeping.
-     *  O(1): counts are maintained incrementally on push/pop -- this
-     *  sits on the FR-FCFS fast path (row-hit and conflict-precharge
-     *  decisions every arbitration tick). */
-    int
-    rowCount(RankId r, BankId b, RowId row) const
-    {
-        const auto it = rowCount_.find(rowKey(r, b, row));
-        return it == rowCount_.end() ? 0 : it->second;
-    }
+    /**
+     * Oldest index of a request to @p addr among those queued for
+     * (@p r, @p b), or -1. An address always decodes to one bank, so
+     * this is the whole queue's answer at the cost of one bank's list.
+     */
+    int findAddr(RankId r, BankId b, Addr addr) const;
 
   private:
-    std::uint64_t
-    rowKey(RankId r, BankId b, RowId row) const
-    {
-        return (static_cast<std::uint64_t>(r * banks_ + b) << 32) |
-               static_cast<std::uint32_t>(row);
-    }
+    /** Set or clear bank (r, b)'s occupancy bit. */
+    void markOccupied(RankId r, BankId b, bool on);
 
     int capacity_;
-    int banks_;
+    int ranks_;
+    int banksPerRank_;
+    int wordsPerRank_;
+    std::uint64_t nextSeq_ = 0;
     std::vector<Request> entries_;
-    std::vector<int> bankCount_;
-    std::unordered_map<std::uint64_t, int> rowCount_;
+    std::vector<std::uint64_t> seqs_;  ///< Arrival numbers of entries_.
+    std::vector<std::vector<Slot>> banks_;
+    std::vector<std::uint64_t> occupied_;
 };
 
 } // namespace dsarp

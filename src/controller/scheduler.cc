@@ -1,10 +1,31 @@
 #include "controller/scheduler.hh"
 
-#include <algorithm>
-
-#include "common/log.hh"
+#include <bit>
+#include <cstdint>
 
 namespace dsarp {
+
+namespace {
+
+/** Oldest requests the conflict-precharge phase looks at. */
+constexpr int kConflictWindow = 16;
+
+/** Call @p fn(rank, bank) for every bank with queued requests, in
+ *  rank-major order. */
+template <typename Fn>
+void
+forEachOccupied(const RequestQueue &queue, Fn &&fn)
+{
+    for (RankId r = 0; r < queue.numRanks(); ++r) {
+        const std::span<const std::uint64_t> words = queue.occupied(r);
+        for (std::size_t w = 0; w < words.size(); ++w) {
+            for (std::uint64_t m = words[w]; m; m &= m - 1)
+                fn(r, static_cast<BankId>(w * 64 + std::countr_zero(m)));
+        }
+    }
+}
+
+} // namespace
 
 CmdChoice
 FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
@@ -12,141 +33,148 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
              const std::vector<std::uint8_t> &act_blocked_rank,
              int banks_per_rank)
 {
-    CmdChoice choice;
+    // Age order across the whole queue is the minimum arrival number
+    // over banks: each phase takes every occupied bank's own best
+    // candidate (the bank lists are oldest first) and keeps the oldest
+    // of them. Phases 1 and 2 look at disjoint banks (open and closed),
+    // so one walk over the occupied banks serves both.
+    constexpr std::uint64_t kNone = UINT64_MAX;
+    std::uint64_t hit = kNone;
+    std::uint64_t act = kNone;
+    Command hit_cmd;
+    // Requests older than this are among the conflict window's oldest.
+    const std::uint64_t window_end =
+        queue.size() > kConflictWindow ? queue.seqAt(kConflictWindow) : kNone;
+    Command conflict[kConflictWindow];
+    std::uint64_t conflict_seq[kConflictWindow];
+    int num_conflict = 0;
+    RankId rank_seen = -1;
+    bool rank_act_ok = false;
+    forEachOccupied(queue, [&](RankId r, BankId b) {
+        const int idx = r * banks_per_rank + b;
+        const Bank &bank = channel.rank(r).bank(b);
+        const std::span<const RequestQueue::Slot> list = queue.bank(idx);
+        const int n = static_cast<int>(list.size());
 
-    // Snapshot the open rows once: under the closed-row policy most
-    // banks are closed most ticks, so the row-hit scan below reduces to
-    // a bitmask test per entry (and vanishes when nothing is open)
-    // instead of a bank lookup per queued request.
-    DSARP_ASSERT(channel.numRanks() <= kMaxRanksScan &&
-                     channel.numRanks() * banks_per_rank <= kMaxBanksScan,
-                 "geometry exceeds FR-FCFS scan buffers");
-    const int num_ranks = channel.numRanks();
-    std::uint64_t open_mask = 0;
-    std::uint64_t refreshing_mask = 0;
-    RowId open_rows[kMaxBanksScan];
-    for (RankId r = 0; r < num_ranks; ++r) {
-        const Rank &rank = channel.rank(r);
-        for (BankId b = 0; b < banks_per_rank; ++b) {
-            const Bank &bank = rank.bank(b);
-            const int idx = r * banks_per_rank + b;
-            if (bank.isOpen()) {
-                open_mask |= std::uint64_t(1) << idx;
-                open_rows[idx] = bank.openRow();
+        if (bank.isOpen()) {
+            // Phase 1: row hits. The oldest request whose row is open
+            // and whose column command is legal right now. Every hit in
+            // one bank gets the same column-command legality per
+            // direction (it depends on bank, rank and bus state, not on
+            // the column), so only a bank's oldest read hit and oldest
+            // write hit need the check, and the winner's column is
+            // filled in at the end. An open bank with no hit is a
+            // phase-3 candidate.
+            const RowId open_row = bank.openRow();
+            int first = 0;
+            while (first < n && list[first].row != open_row)
+                ++first;
+            if (first == n) {
+                if (list[0].seq < window_end) {
+                    Command &pre = conflict[num_conflict];
+                    pre.type = CommandType::kPre;
+                    pre.rank = r;
+                    pre.bank = b;
+                    conflict_seq[num_conflict++] = list[0].seq;
+                }
+                return;
             }
-            if (bank.refreshing(now))
-                refreshing_mask |= std::uint64_t(1) << idx;
+            if (list[first].seq >= hit)
+                return;
+
+            // Keep the row open only if another request for it is
+            // queued; otherwise auto-precharge (closed-row policy). A
+            // pending blocking refresh on the bank also forces the
+            // precharge.
+            const bool auto_pre = queue.rowCount(r, b, open_row) <= 1 ||
+                act_blocked_bank[idx] || act_blocked_rank[r];
+
+            int legal[2] = {-1, -1};  // Per direction: unknown, no, yes.
+            for (int k = first; k < n && list[k].seq < hit; ++k) {
+                if (list[k].row != open_row)
+                    continue;
+                const bool write = list[k].isWrite;
+                int &ok = legal[write];
+                if (ok == 0)
+                    continue;
+                Command cmd;
+                cmd.type = write
+                    ? (auto_pre ? CommandType::kWrA : CommandType::kWr)
+                    : (auto_pre ? CommandType::kRdA : CommandType::kRd);
+                cmd.rank = r;
+                cmd.bank = b;
+                cmd.row = open_row;
+                ok = channel.canIssue(cmd, now);
+                if (ok) {
+                    hit = list[k].seq;
+                    hit_cmd = cmd;
+                    return;
+                }
+                if (legal[0] == 0 && legal[1] == 0)
+                    return;
+            }
+            return;
         }
-    }
 
-    // Phase 1: row hits. Oldest request whose row is open and whose
-    // column command is legal right now.
-    for (int i = 0; open_mask && i < queue.size(); ++i) {
-        const Request &req = queue.at(i);
-        const int open_idx = req.loc.rank * banks_per_rank + req.loc.bank;
-        if (!(open_mask >> open_idx & 1) ||
-            open_rows[open_idx] != req.loc.row) {
-            continue;
+        // Phase 2: the oldest request needing an ACT whose ACT is
+        // legal; moot once any row hit is found. Only a bank's oldest
+        // request may activate -- a younger request must not jump
+        // ahead of it -- except while the bank refreshes: under SARP a
+        // younger request may target a different, accessible subarray.
+        // Rank-level legality (tRRD/tFAW) is evaluated once per rank;
+        // banks are visited rank-major.
+        if (hit != kNone || act_blocked_rank[r] || act_blocked_bank[idx])
+            return;
+        if (r != rank_seen) {
+            rank_seen = r;
+            rank_act_ok = channel.rank(r).canActRankLevel(now);
         }
-
-        // Keep the row open only if another request for it is queued;
-        // otherwise auto-precharge (closed-row policy). A pending
-        // blocking refresh on the bank also forces the precharge.
-        const bool last_for_row =
-            queue.rowCount(req.loc.rank, req.loc.bank, req.loc.row) <= 1;
-        const bool blocked =
-            act_blocked_bank[req.loc.rank * banks_per_rank + req.loc.bank] ||
-            act_blocked_rank[req.loc.rank];
-        const bool auto_pre = last_for_row || blocked;
-
-        Command cmd;
-        cmd.type = req.isWrite
-            ? (auto_pre ? CommandType::kWrA : CommandType::kWr)
-            : (auto_pre ? CommandType::kRdA : CommandType::kRd);
-        cmd.rank = req.loc.rank;
-        cmd.bank = req.loc.bank;
-        cmd.row = req.loc.row;
-        cmd.column = req.loc.column;
-        cmd.subarray = req.loc.subarray;
-        if (channel.canIssue(cmd, now)) {
-            choice.valid = true;
-            choice.cmd = cmd;
-            choice.queueIndex = i;
-            return choice;
+        if (!rank_act_ok)
+            return;
+        const int tries = bank.refreshing(now) ? n : 1;
+        for (int k = 0; k < tries && list[k].seq < act; ++k) {
+            if (bank.canAct(now, list[k].row)) {
+                act = list[k].seq;
+                return;
+            }
         }
-    }
+    });
 
-    // Phase 2: the oldest request needing an ACT whose ACT is legal.
-    // Rank-level legality (tRRD/tFAW) is hoisted out of the scan, and
-    // each (rank, bank) pair is attempted at most once -- a younger
-    // request to a bank whose oldest request cannot activate must not
-    // jump ahead of it.
-    bool rank_act_ok[kMaxRanksScan] = {};
-    bool any_rank_ok = false;
-    for (RankId r = 0; r < num_ranks; ++r) {
-        rank_act_ok[r] = channel.rank(r).canActRankLevel(now);
-        any_rank_ok |= rank_act_ok[r] && !act_blocked_rank[r];
-    }
-    std::uint64_t tried_banks = 0;
-    for (int i = 0; any_rank_ok && i < queue.size(); ++i) {
-        const Request &req = queue.at(i);
-        const int bank_idx = req.loc.rank * banks_per_rank + req.loc.bank;
-        const std::uint64_t bit = std::uint64_t(1) << bank_idx;
-        if (tried_banks & bit)
-            continue;
-        // A refreshing bank stays eligible for younger requests: under
-        // SARP they may target a different, accessible subarray.
-        if (!(refreshing_mask & bit))
-            tried_banks |= bit;
-        if (!rank_act_ok[req.loc.rank] || act_blocked_rank[req.loc.rank] ||
-            act_blocked_bank[bank_idx]) {
-            continue;
-        }
-        if (open_mask >> bank_idx & 1)
-            continue;  // Handled by phase 3 if the row is stranded.
-        const Bank &bank = channel.rank(req.loc.rank).bank(req.loc.bank);
-        if (!bank.canAct(now, req.loc.row))
-            continue;
-
-        Command cmd;
-        cmd.type = CommandType::kAct;
-        cmd.rank = req.loc.rank;
-        cmd.bank = req.loc.bank;
-        cmd.row = req.loc.row;
-        cmd.subarray = req.loc.subarray;
+    CmdChoice choice;
+    if (hit != kNone) {
+        const int i = queue.index(hit);
         choice.valid = true;
-        choice.cmd = cmd;
-        choice.queueIndex = -1;
+        choice.cmd = hit_cmd;
+        choice.cmd.column = queue.at(i).loc.column;
+        choice.cmd.subarray = queue.at(i).loc.subarray;
+        choice.queueIndex = i;
+        return choice;
+    }
+    if (act != kNone) {
+        const Request &req = queue.at(queue.index(act));
+        choice.valid = true;
+        choice.cmd.type = CommandType::kAct;
+        choice.cmd.rank = req.loc.rank;
+        choice.cmd.bank = req.loc.bank;
+        choice.cmd.row = req.loc.row;
+        choice.cmd.subarray = req.loc.subarray;
         return choice;
     }
 
     // Phase 3: conflict precharge. A bank can be left open for a row this
     // queue does not want -- e.g. read row hits stranded by writeback
     // mode, or a plain-RD stream whose tail was served elsewhere. Close
-    // it so the waiting request can activate next cycle. Scanning the
-    // oldest few requests is enough: this is a liveness path, not a
-    // throughput path, and rowCount makes it quadratic otherwise.
-    const int phase3_limit = std::min(queue.size(), 16);
-    for (int i = 0; i < phase3_limit; ++i) {
-        const Request &req = queue.at(i);
-        const Bank &bank = channel.rank(req.loc.rank).bank(req.loc.bank);
-        if (!bank.isOpen() || bank.openRow() == req.loc.row)
-            continue;
-        if (queue.rowCount(req.loc.rank, req.loc.bank, bank.openRow()) > 0)
-            continue;  // This queue still has hits for the open row.
-
-        Command cmd;
-        cmd.type = CommandType::kPre;
-        cmd.rank = req.loc.rank;
-        cmd.bank = req.loc.bank;
-        if (channel.canIssue(cmd, now)) {
+    // it so the waiting request can activate next cycle. Only banks
+    // whose oldest request is among the queue's oldest few qualify:
+    // this is a liveness path, not a throughput path.
+    std::uint64_t pre = kNone;
+    for (int c = 0; c < num_conflict; ++c) {
+        if (conflict_seq[c] < pre && channel.canIssue(conflict[c], now)) {
+            pre = conflict_seq[c];
             choice.valid = true;
-            choice.cmd = cmd;
-            choice.queueIndex = -1;
-            return choice;
+            choice.cmd = conflict[c];
         }
     }
-
     return choice;
 }
 

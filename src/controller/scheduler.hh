@@ -6,8 +6,9 @@
  * Priority: (1) the oldest request whose row is already open and whose
  * column command is legal this cycle -- issued with auto-precharge when it
  * is the last queued request for that row; (2) the oldest request whose
- * bank is closed and whose ACT is legal. ACTs to banks (or ranks) with a
- * blocking refresh pending are suppressed so the target can drain.
+ * bank is closed and whose ACT is legal; (3) a precharge for an open row
+ * no queued request wants. ACTs to banks (or ranks) with a blocking
+ * refresh pending are suppressed so the target can drain.
  */
 
 #ifndef DSARP_CONTROLLER_SCHEDULER_HH
@@ -34,12 +35,11 @@ struct CmdChoice
 class FrFcfs
 {
   public:
-    /** Scan-buffer bounds: ranks per channel and (rank, bank) pairs. */
-    static constexpr int kMaxRanksScan = 8;
-    static constexpr int kMaxBanksScan = 64;
-
     /**
-     * Select the next command for @p queue.
+     * Select the next command for @p queue. Walks only the queue's
+     * occupied banks through its per-bank index, and inside an open or
+     * refreshing bank that bank's requests, so the cost grows with the
+     * requests queued in those banks.
      *
      * @param actBlockedBank per-(rank,bank) flags: suppress new ACTs.
      * @param actBlockedRank per-rank flags (all-bank refresh pending).

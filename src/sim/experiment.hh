@@ -119,10 +119,11 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
     bool enableChecker = false;
 
-    /** Simulation engine (key "sim.engine"): "cycle" steps every tick,
-     *  "event" skips to the next component deadline. Commands, stats,
-     *  and RNG streams are bit-identical between the two. */
-    std::string engine = "cycle";
+    /** Simulation engine (key "sim.engine"): "event" (default) skips
+     *  to the next component deadline, "cycle" steps every tick and is
+     *  the reference. Commands, stats, and RNG streams are
+     *  bit-identical between the two. */
+    std::string engine = "event";
 
     // --- Run lengths (0 = DSARP_BENCH_* env knob, then default) ------
     std::uint64_t warmupCycles = 0;

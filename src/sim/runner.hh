@@ -89,9 +89,9 @@ struct RunConfig
 
     /**
      * Simulation engine (= sim.engine): empty keeps the SystemConfig
-     * default ("cycle"); "event" selects the skip-to-next-deadline
-     * loop. Results are bit-identical either way, so the alone-IPC
-     * cache deliberately ignores it.
+     * default ("event", the skip-to-next-deadline loop); "cycle"
+     * selects the reference loop. Results are bit-identical either
+     * way, so the alone-IPC cache deliberately ignores it.
      */
     std::string engine;
 

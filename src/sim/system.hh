@@ -54,8 +54,9 @@ class System
 
     /**
      * Advance the simulation by @p ticks DRAM cycles using the engine
-     * selected by SystemConfig::engine ("cycle" or "event"); both
-     * produce bit-identical commands, stats, and RNG streams.
+     * selected by SystemConfig::engine ("event" by default, or the
+     * reference "cycle" loop); both produce bit-identical commands,
+     * stats, and RNG streams.
      */
     void run(Tick ticks);
 

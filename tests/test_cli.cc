@@ -28,12 +28,12 @@ parse(std::vector<std::string> args)
 TEST(Cli, FlagSugarSetsConfigKeys)
 {
     const CliResult res =
-        parse({"--mech", "REFpb", "--channels", "4", "--engine", "event",
+        parse({"--mech", "REFpb", "--channels", "4", "--engine", "cycle",
                "--cores", "2", "--seed", "42", "--jobs", "3"});
     ASSERT_EQ(res.action, CliAction::Run);
     EXPECT_EQ(res.config.policy, "REFpb");
     EXPECT_EQ(res.config.channels, 4);
-    EXPECT_EQ(res.config.engine, "event");
+    EXPECT_EQ(res.config.engine, "cycle");
     EXPECT_EQ(res.config.numCores, 2);
     EXPECT_EQ(res.config.seed, 42u);
     EXPECT_EQ(res.jobs, 3);

@@ -449,6 +449,7 @@ TEST_F(TrafficRun, TraceModeDrivesSystem)
 
     RunConfig cfg = trafficPoint("trace");
     cfg.traffic.tracePath = path;
+    cfg.engine = "cycle";
     const RunResult res = runner_->runTraffic(cfg);
     EXPECT_GT(res.readsCompleted, 0u);
     EXPECT_GT(res.writesIssued, 0u);

@@ -11,7 +11,7 @@
  *             [--density 8|16|32] [--cores N]
  *             [--retention 32|64] [--subarrays N] [--cycles N]
  *             [--warmup N] [--seed N] [--workload-seed N]
- *             [--intensity 0|25|50|75|100] [--engine cycle|event]
+ *             [--intensity 0|25|50|75|100] [--engine event|cycle]
  *             [--jobs N] [--config FILE] [--set key=value]
  *             [--list-mechs] [--list-maps] [--list-keys]
  *             [--list-benchmarks] [--help]
@@ -63,7 +63,7 @@ usage()
         "  --seed N           simulator seed                    [1]\n"
         "  --workload-seed N  workload mix seed                 [1]\n"
         "  --intensity PCT    0|25|50|75|100 intensive mix      [100]\n"
-        "  --engine NAME      cycle | event, = sim.engine       [cycle]\n"
+        "  --engine NAME      event | cycle, = sim.engine       [event]\n"
         "  --traffic MODE     open-loop arrivals, = traffic.mode\n"
         "                     (poisson|bursty|diurnal|trace)     [off]\n"
         "  --rate R           arrivals per kilocycle, = traffic.rate "
