@@ -135,8 +135,11 @@ ChannelController::toCommand(const RefreshRequest &req) const
 bool
 ChannelController::tryIssue(const Command &cmd, Tick now)
 {
-    if (!channel_.canIssue(cmd, now))
+    const Tick ready = channel_.readyAt(cmd, now);
+    if (ready > now) {
+        waitUntil(ready);
         return false;
+    }
     channel_.issue(cmd, now);
     issuedThisTick_ = true;
     if (cmdLog_)
@@ -175,6 +178,8 @@ ChannelController::serveDemand(RequestQueue &queue, const CmdChoice &choice,
 void
 ChannelController::arbitrate(Tick now)
 {
+    readyAt_ = kTickNever;
+
     // 0. Self-refresh exit: a rank in self-refresh with demand that
     //    needs the DRAM must wake up. SRX is legal once the minimum
     //    residency tCKESR has elapsed; the first command after it then
@@ -228,47 +233,40 @@ ChannelController::arbitrate(Tick now)
     }
 
     // 2. Demand commands: writes during writeback mode, reads otherwise.
-    //    Skipped wholesale while the frozen-pick certificate holds (see
-    //    pickSkipUntil_): this tick was reached by a wake that cannot
-    //    change the pick's "nothing issuable" answer -- a read
-    //    delivery, a refresh pull-in probe, or an SRE threshold.
-    if (now >= pickSkipUntil_) {
-        RequestQueue &queue = writeDrain_.active() ? writeQ_ : readQ_;
-        CmdChoice choice = FrFcfs::pick(queue, channel_, now,
-                                        blockedActBank_, blockedActRank_,
-                                        cfg_->org.banksPerRank);
-        if (choice.valid) {
-            serveDemand(queue, choice, now);
-            return;
-        }
+    RequestQueue &queue = writeDrain_.active() ? writeQ_ : readQ_;
+    ++picks_;
+    const CmdChoice choice = FrFcfs::pick(queue, channel_, now,
+                                          blockedActBank_, blockedActRank_,
+                                          cfg_->org.banksPerRank);
+    if (choice.valid) {
+        serveDemand(queue, choice, now);
+        return;
+    }
+    waitUntil(choice.readyAt);
 
-        // 3. Precharge assist: a blocking refresh target still has a
-        //    row open (e.g. read row hits stranded by writeback mode);
-        //    close it. Under the certificate its answer is frozen too:
-        //    the urgent set, every open row, and PRE legality are all
-        //    unchanged since it last found nothing.
-        for (const RefreshRequest &req : urgentScratch_) {
-            if (!req.blocking)
+    // 3. Precharge assist: a blocking refresh target still has a row
+    //    open (e.g. read row hits stranded by writeback mode); close it.
+    for (const RefreshRequest &req : urgentScratch_) {
+        if (!req.blocking)
+            continue;
+        int lo = req.bank, hi = req.bank;
+        if (req.allBank) {
+            lo = 0;
+            hi = cfg_->org.banksPerRank - 1;
+        } else if (req.sameBank) {
+            lo = req.bank * timing_->banksPerGroup;
+            hi = lo + timing_->banksPerGroup - 1;
+        }
+        for (BankId b = lo; b <= hi; ++b) {
+            const Bank &bank = channel_.rank(req.rank).bank(b);
+            if (!bank.isOpen())
                 continue;
-            int lo = req.bank, hi = req.bank;
-            if (req.allBank) {
-                lo = 0;
-                hi = cfg_->org.banksPerRank - 1;
-            } else if (req.sameBank) {
-                lo = req.bank * timing_->banksPerGroup;
-                hi = lo + timing_->banksPerGroup - 1;
-            }
-            for (BankId b = lo; b <= hi; ++b) {
-                const Bank &bank = channel_.rank(req.rank).bank(b);
-                if (!bank.isOpen())
-                    continue;
-                Command pre;
-                pre.type = CommandType::kPre;
-                pre.rank = req.rank;
-                pre.bank = b;
-                if (tryIssue(pre, now))
-                    return;
-            }
+            Command pre;
+            pre.type = CommandType::kPre;
+            pre.rank = req.rank;
+            pre.bank = b;
+            if (tryIssue(pre, now))
+                return;
         }
     }
 
@@ -288,8 +286,10 @@ ChannelController::arbitrate(Tick now)
                 continue;
             if (srDemandPending(r))
                 continue;
-            if (now - lastDemandActivity_[r] <
-                static_cast<Tick>(cfg_->srIdleEntryCycles)) {
+            const Tick idle_at = lastDemandActivity_[r] +
+                static_cast<Tick>(cfg_->srIdleEntryCycles);
+            if (now < idle_at) {
+                waitUntil(idle_at);
                 continue;
             }
             Command sre;
@@ -321,10 +321,6 @@ void
 ChannelController::tick(Tick now)
 {
     ++stats_.ticks;
-    if (issuedThisTick_ || enqueuedSinceTick_) {
-        deadlineCacheValid_ = false;
-        pickSkipUntil_ = 0;
-    }
     issuedThisTick_ = false;
     enqueuedSinceTick_ = false;
 
@@ -333,13 +329,22 @@ ChannelController::tick(Tick now)
     if (writeDrain_.active())
         ++stats_.writebackModeTicks;
 
-    // Deliver read data that has arrived.
+    deliverReads(now);
+    arbitrate(now);
+
+    stats_.readQueueOccupancySum += readQ_.size();
+    stats_.writeQueueOccupancySum += writeQ_.size();
+    channel_.sampleActivity(now);
+}
+
+void
+ChannelController::deliverReads(Tick now)
+{
     for (std::size_t i = 0; i < pendingReads_.size();) {
         if (pendingReads_[i].done <= now) {
             const PendingRead pr = pendingReads_[i];
             pendingReads_[i] = pendingReads_.back();
             pendingReads_.pop_back();
-            deadlineCacheValid_ = false;
             ++stats_.readsCompleted;
             stats_.readLatencySum += pr.done - pr.req.arrival;
             stats_.readLatency.add(pr.done - pr.req.arrival);
@@ -349,12 +354,15 @@ ChannelController::tick(Tick now)
             ++i;
         }
     }
+}
 
-    arbitrate(now);
-
-    stats_.readQueueOccupancySum += readQ_.size();
-    stats_.writeQueueOccupancySum += writeQ_.size();
-    channel_.sampleActivity(now);
+Tick
+ChannelController::nextDelivery() const
+{
+    Tick next = kTickNever;
+    for (const PendingRead &pr : pendingReads_)
+        next = std::min(next, pr.done);
+    return next;
 }
 
 Tick
@@ -366,49 +374,21 @@ ChannelController::nextWake(Tick now)
     if (issuedThisTick_ || enqueuedSinceTick_)
         return now;
 
-    // The DRAM deadline set only moves when a command issues, work is
-    // enqueued, or read data is delivered -- every such event
-    // invalidates the cache -- so an inert controller re-enumerates at
-    // most once per event rather than at every wake. The refresh
-    // scheduler is deliberately outside the cache: its wake is cheap
-    // and its internal state (ledger accrual, policy decisions) moves
-    // on its own schedule.
-    if (!deadlineCacheValid_ || cachedDeadline_ <= now) {
-        Tick issu = kTickNever;
-        const auto addIssu = [&](Tick t) {
-            if (t > now && t < issu)
-                issu = t;
-        };
-        addIssu(channel_.nextDeadline(now));
-        // Self-refresh idle-entry thresholds (arbitrate step 4). Added
-        // unconditionally per rank: a spurious wake costs one tick, a
-        // missed one would diverge.
-        if (cfg_->srIdleEntryCycles > 0) {
-            for (RankId r = 0; r < channel_.numRanks(); ++r) {
-                addIssu(lastDemandActivity_[r] +
-                        static_cast<Tick>(cfg_->srIdleEntryCycles));
-            }
-        }
-        Tick wake = issu;
-        for (const PendingRead &pr : pendingReads_) {
-            if (pr.done > now && pr.done < wake)
-                wake = pr.done;
-        }
-        cachedDeadline_ = wake;
-        cachedIssuDeadline_ = issu;
-        deadlineCacheValid_ = true;
+    // Otherwise every arbitration step found nothing, and each answer
+    // holds until a command it tried becomes ready (readyAt_), the
+    // policy's own state moves, or a refresh it emits only once legal
+    // becomes so. The instants that keep a skipped span's stats
+    // constant complete the set; read deliveries are not wakes (see
+    // deliverReads()).
+    Tick wake = std::min({readyAt_, refreshSched_->nextWake(now),
+                          refreshSched_->pullInReadyAt(now),
+                          channel_.nextActivityChange(now)});
+    // Refresh policies skip a rank inside its tXS exit window.
+    for (RankId r = 0; r < channel_.numRanks(); ++r) {
+        const Tick lockout_end = channel_.rank(r).srExitLockoutUntil();
+        if (lockout_end > now)
+            wake = std::min(wake, lockout_end);
     }
-    Tick wake = cachedDeadline_;
-    const Tick sched = refreshSched_->nextWake(now);
-    if (sched > now && sched < wake)
-        wake = sched;
-    // This tick was inert and everything the demand pick reads is
-    // frozen until the issuability deadline or the policy's next state
-    // change, whichever is first: later wakes (deliveries, refresh
-    // pull-ins, SRE probes) may skip the FR-FCFS scan until then.
-    pickSkipUntil_ = cachedIssuDeadline_;
-    if (sched > now && sched < pickSkipUntil_)
-        pickSkipUntil_ = sched;
     return wake;
 }
 
@@ -417,8 +397,8 @@ ChannelController::skipTicks(Tick firstTick, Tick ticks)
 {
     // Replay the linear per-tick effects of an inert tick() across the
     // span [firstTick, firstTick + ticks). Queue sizes, drain state,
-    // and every DRAM predicate are frozen: nothing issued, nothing was
-    // enqueued, and the engine wakes at every timing threshold.
+    // and every arbitration answer are frozen: nothing issued, nothing
+    // was enqueued, and the engine wakes at every nextWake() instant.
     stats_.ticks += ticks;
     if (writeDrain_.active())
         stats_.writebackModeTicks += ticks;

@@ -5,9 +5,17 @@
  * Implements the paper's controller (Table 1): 64/64-entry read/write
  * queues, FR-FCFS, closed-row policy, batched writes with a low
  * watermark, and a pluggable refresh scheduling policy. Arbitration each
- * tick: urgent refreshes, then demand commands (writes during writeback
- * mode, reads otherwise), then a precharge assist for blocked refreshes,
- * then opportunistic refreshes.
+ * tick: self-refresh exit for a sleeping rank with demand, urgent
+ * refreshes, then demand commands (writes during writeback mode, reads
+ * otherwise), then a precharge assist for blocked refreshes, then
+ * self-refresh entry, then opportunistic refreshes.
+ *
+ * Wake contract (event-driven engine): the controller's decision changes
+ * only when a command issues, a request arrives, or some command it
+ * wants becomes legal. A tick that issues nothing therefore records the
+ * earliest tick any command it tried can become legal -- each step
+ * reports its own readiness, and the refresh policy reports its own --
+ * and nextWake() sleeps the controller until then.
  *
  * The controller implements ControllerView so refresh policies can
  * observe queue occupancies (DARP) and idleness (elastic refresh), and
@@ -19,6 +27,7 @@
 #ifndef DSARP_CONTROLLER_CONTROLLER_HH
 #define DSARP_CONTROLLER_CONTROLLER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -82,14 +91,31 @@ class ChannelController : public ControllerView
 
     /**
      * Earliest tick strictly after @p now at which this controller
-     * could act differently than it just did: the next read-data
-     * delivery, refresh-policy wake, DRAM timing threshold, or
-     * self-refresh idle-entry instant. Returns @p now (forcing the
-     * legacy one-tick step) whenever the tick at @p now issued a
-     * command or a core enqueued since -- only provably inert state
-     * may be skipped.
+     * could act differently than it just did. After a tick that issued
+     * nothing this is the minimum of the arbitration's readiness (the
+     * earliest tick any command it tried can become legal, see
+     * Channel::readyAt()), the refresh policy's wake and pull-in
+     * readiness, and the instants a skipped span's stats depend on
+     * (refresh ends, idle thresholds, tXS exit-window ends). Legality
+     * flips of commands nobody wants are not wakes, and neither are
+     * read deliveries (nextDelivery()). Returns @p now (forcing the
+     * one-tick step)
+     * whenever the tick at @p now issued a command or a core enqueued
+     * since -- only provably inert state may be skipped.
      */
     Tick nextWake(Tick now);
+
+    /**
+     * Deliver the read data that has arrived by @p now; tick() does
+     * this before arbitrating. The event engine also calls it on its
+     * own at a delivery inside an inert span: a delivery never changes
+     * what the arbitration decides, so that tick stays inert and
+     * skipTicks() accounts it with the rest of the span.
+     */
+    void deliverReads(Tick now);
+
+    /** Earliest pending read-data delivery (kTickNever when none). */
+    Tick nextDelivery() const;
 
     /**
      * Account the @p ticks skipped ticks [firstTick, firstTick+ticks)
@@ -148,9 +174,17 @@ class ChannelController : public ControllerView
 
     ChannelId id() const { return id_; }
 
+    /** FR-FCFS picks run since construction. An engine work counter,
+     *  deliberately outside ControllerStats: it differs between the
+     *  engines, which skip different numbers of ticks. */
+    std::uint64_t picks() const { return picks_; }
+
   private:
     void arbitrate(Tick now);
+    /** Issue @p cmd if legal now; otherwise fold its readiness into
+     *  readyAt_ and return false. */
     bool tryIssue(const Command &cmd, Tick now);
+    void waitUntil(Tick t) { readyAt_ = std::min(readyAt_, t); }
     Command toCommand(const RefreshRequest &req) const;
 
     /** Demand that needs the rank awake: queued reads, or queued
@@ -197,25 +231,15 @@ class ChannelController : public ControllerView
      *  once per skipped tick; lazy draws in urgent() cache themselves
      *  and must not be replayed). */
     std::uint64_t oppDraws_ = 0;
-    /** Memoized DRAM-side deadline minimum (see nextWake()). */
-    Tick cachedDeadline_ = 0;
-    /** Same minimum without the read-delivery instants: the earliest
-     *  tick any command's legality can flip (deliveries never do). */
-    Tick cachedIssuDeadline_ = 0;
-    bool deadlineCacheValid_ = false;
     /**
-     * Frozen-pick certificate: while now < pickSkipUntil_, the demand
-     * pick (and the precharge assist behind it) provably repeats its
-     * last "nothing issuable" answer -- the queues are unchanged (an
-     * enqueue zeroes this), no command issued (ditto), no DRAM timing
-     * threshold expires before the issuability deadline, and the
-     * refresh policy's urgent set is fixed until its own wake. Set by
-     * nextWake() after an inert tick. Only the event engine calls
-     * nextWake(), so the cycle engine (the reference loop) runs the
-     * pick on every tick; the event engine, the default, skips it at
-     * wakes inside the frozen span.
+     * Earliest tick at which the last arbitrate() that issued nothing
+     * could answer differently on its own: the minimum readiness of
+     * every command it tried (SRX, urgent refreshes, the FR-FCFS
+     * pick's candidates, the precharge assist, SRE) and of the SRE
+     * idle thresholds it waited on.
      */
-    Tick pickSkipUntil_ = 0;
+    Tick readyAt_ = kTickNever;
+    std::uint64_t picks_ = 0;  ///< FR-FCFS picks run (see picks()).
     /// @}
 };
 

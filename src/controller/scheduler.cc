@@ -1,5 +1,6 @@
 #include "controller/scheduler.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -42,14 +43,19 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
     std::uint64_t hit = kNone;
     std::uint64_t act = kNone;
     Command hit_cmd;
+    // With nothing issuable, the earliest tick any examined candidate
+    // can become legal: until then the answer stays "nothing".
+    Tick ready = kTickNever;
     // Requests older than this are among the conflict window's oldest.
     const std::uint64_t window_end =
         queue.size() > kConflictWindow ? queue.seqAt(kConflictWindow) : kNone;
-    Command conflict[kConflictWindow];
+    // Phase-3 candidates: plain arrays, filled only as far as used.
+    RankId conflict_rank[kConflictWindow];
+    BankId conflict_bank[kConflictWindow];
     std::uint64_t conflict_seq[kConflictWindow];
     int num_conflict = 0;
     RankId rank_seen = -1;
-    bool rank_act_ok = false;
+    Tick rank_act_ready = 0;
     forEachOccupied(queue, [&](RankId r, BankId b) {
         const int idx = r * banks_per_rank + b;
         const Bank &bank = channel.rank(r).bank(b);
@@ -61,33 +67,24 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
             // and whose column command is legal right now. Every hit in
             // one bank gets the same column-command legality per
             // direction (it depends on bank, rank and bus state, not on
-            // the column), so only a bank's oldest read hit and oldest
-            // write hit need the check, and the winner's column is
-            // filled in at the end. An open bank with no hit is a
-            // phase-3 candidate.
+            // the column, nor on auto-precharge), so only a bank's
+            // oldest read hit and oldest write hit need the check, and
+            // the winner's column and auto-precharge are filled in at
+            // the end. An open bank with no hit is a phase-3 candidate.
             const RowId open_row = bank.openRow();
             int first = 0;
             while (first < n && list[first].row != open_row)
                 ++first;
             if (first == n) {
                 if (list[0].seq < window_end) {
-                    Command &pre = conflict[num_conflict];
-                    pre.type = CommandType::kPre;
-                    pre.rank = r;
-                    pre.bank = b;
+                    conflict_rank[num_conflict] = r;
+                    conflict_bank[num_conflict] = b;
                     conflict_seq[num_conflict++] = list[0].seq;
                 }
                 return;
             }
             if (list[first].seq >= hit)
                 return;
-
-            // Keep the row open only if another request for it is
-            // queued; otherwise auto-precharge (closed-row policy). A
-            // pending blocking refresh on the bank also forces the
-            // precharge.
-            const bool auto_pre = queue.rowCount(r, b, open_row) <= 1 ||
-                act_blocked_bank[idx] || act_blocked_rank[r];
 
             int legal[2] = {-1, -1};  // Per direction: unknown, no, yes.
             for (int k = first; k < n && list[k].seq < hit; ++k) {
@@ -98,18 +95,18 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
                 if (ok == 0)
                     continue;
                 Command cmd;
-                cmd.type = write
-                    ? (auto_pre ? CommandType::kWrA : CommandType::kWr)
-                    : (auto_pre ? CommandType::kRdA : CommandType::kRd);
+                cmd.type = write ? CommandType::kWr : CommandType::kRd;
                 cmd.rank = r;
                 cmd.bank = b;
                 cmd.row = open_row;
-                ok = channel.canIssue(cmd, now);
+                const Tick t = channel.readyAt(cmd, now);
+                ok = t <= now;
                 if (ok) {
                     hit = list[k].seq;
                     hit_cmd = cmd;
                     return;
                 }
+                ready = std::min(ready, t);
                 if (legal[0] == 0 && legal[1] == 0)
                     return;
             }
@@ -120,31 +117,48 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
         // legal; moot once any row hit is found. Only a bank's oldest
         // request may activate -- a younger request must not jump
         // ahead of it -- except while the bank refreshes: under SARP a
-        // younger request may target a different, accessible subarray.
-        // Rank-level legality (tRRD/tFAW) is evaluated once per rank;
-        // banks are visited rank-major.
+        // younger request may target a different, accessible subarray,
+        // and the refresh end shrinks the candidates back to the
+        // oldest. Rank-level readiness (tRRD/tFAW) is evaluated once
+        // per rank; banks are visited rank-major.
         if (hit != kNone || act_blocked_rank[r] || act_blocked_bank[idx])
             return;
         if (r != rank_seen) {
             rank_seen = r;
-            rank_act_ok = channel.rank(r).canActRankLevel(now);
+            rank_act_ready = channel.rank(r).actRankReadyAt(now);
         }
-        if (!rank_act_ok)
-            return;
-        const int tries = bank.refreshing(now) ? n : 1;
+        int tries = 1;
+        if (bank.refreshing(now)) {
+            tries = n;
+            ready = std::min(ready, bank.refreshUntil());
+        }
         for (int k = 0; k < tries && list[k].seq < act; ++k) {
-            if (bank.canAct(now, list[k].row)) {
+            const Tick t =
+                std::max(rank_act_ready, bank.actReadyAt(list[k].row));
+            if (t <= now) {
                 act = list[k].seq;
                 return;
             }
+            ready = std::min(ready, t);
         }
     });
 
     CmdChoice choice;
     if (hit != kNone) {
         const int i = queue.index(hit);
+        const RankId r = hit_cmd.rank;
+        const BankId b = hit_cmd.bank;
+        // Keep the row open only if another request for it is queued;
+        // otherwise auto-precharge (closed-row policy). A pending
+        // blocking refresh on the bank also forces the precharge.
+        const bool auto_pre = queue.rowCount(r, b, hit_cmd.row) <= 1 ||
+            act_blocked_bank[r * banks_per_rank + b] || act_blocked_rank[r];
         choice.valid = true;
         choice.cmd = hit_cmd;
+        if (auto_pre) {
+            const bool write = hit_cmd.type == CommandType::kWr;
+            choice.cmd.type = write ? CommandType::kWrA : CommandType::kRdA;
+        }
         choice.cmd.column = queue.at(i).loc.column;
         choice.cmd.subarray = queue.at(i).loc.subarray;
         choice.queueIndex = i;
@@ -169,12 +183,21 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
     // this is a liveness path, not a throughput path.
     std::uint64_t pre = kNone;
     for (int c = 0; c < num_conflict; ++c) {
-        if (conflict_seq[c] < pre && channel.canIssue(conflict[c], now)) {
+        Command cmd;
+        cmd.type = CommandType::kPre;
+        cmd.rank = conflict_rank[c];
+        cmd.bank = conflict_bank[c];
+        const Tick t = channel.readyAt(cmd, now);
+        if (t > now) {
+            ready = std::min(ready, t);
+        } else if (conflict_seq[c] < pre) {
             pre = conflict_seq[c];
             choice.valid = true;
-            choice.cmd = conflict[c];
+            choice.cmd = cmd;
         }
     }
+    if (!choice.valid)
+        choice.readyAt = ready;
     return choice;
 }
 

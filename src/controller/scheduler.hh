@@ -30,6 +30,13 @@ struct CmdChoice
     Command cmd;
     /** Queue index of the serviced request; -1 for ACT (request stays). */
     int queueIndex = -1;
+    /**
+     * Without a valid choice: the earliest tick at which a candidate
+     * the pick examined can become legal (kTickNever when none can
+     * without a command or an enqueue). The answer stays "nothing"
+     * until then.
+     */
+    Tick readyAt = kTickNever;
 };
 
 class FrFcfs
@@ -39,7 +46,11 @@ class FrFcfs
      * Select the next command for @p queue. Walks only the queue's
      * occupied banks through its per-bank index, and inside an open or
      * refreshing bank that bank's requests, so the cost grows with the
-     * requests queued in those banks.
+     * requests queued in those banks. When nothing is issuable the
+     * choice reports its readiness: the minimum over the examined
+     * candidates (each open bank's oldest hit per direction, each ACT
+     * candidate, each conflict PRE) and the refresh ends of refreshing
+     * banks, whose candidate sets shrink there.
      *
      * @param actBlockedBank per-(rank,bank) flags: suppress new ACTs.
      * @param actBlockedRank per-rank flags (all-bank refresh pending).

@@ -13,70 +13,32 @@ Bank::Bank(const TimingParams *timing, int rows_per_subarray,
 {
 }
 
-bool
-Bank::canAct(Tick now, RowId row) const
+Tick
+Bank::actReadyAt(RowId row) const
 {
-    if (openRow_ != kNone || now < actAllowedAt_)
-        return false;
-    if (refreshing(now)) {
-        // Without SARP a refreshing bank accepts nothing. With SARP, an
-        // ACT may target any subarray other than the refreshing one.
-        if (!sarp_ || subarrayOf(row) == refreshSubarray_)
-            return false;
-    }
-    return true;
-}
-
-bool
-Bank::canRead(Tick now) const
-{
-    return openRow_ != kNone && now >= colAllowedAt_;
-}
-
-bool
-Bank::canWrite(Tick now) const
-{
-    return openRow_ != kNone && now >= colAllowedAt_;
-}
-
-bool
-Bank::canPre(Tick now) const
-{
-    return openRow_ != kNone && now >= preAllowedAt_;
-}
-
-bool
-Bank::canRefresh(Tick now) const
-{
-    return openRow_ == kNone && !refreshing(now) && now >= actAllowedAt_;
-}
-
-bool
-Bank::canHiddenRefresh(Tick now) const
-{
-    if (openRow_ == kNone || refreshing(now))
-        return false;
-    if (lastActAt_ == kTickNever || now < lastActAt_ + timing_->tHiRA)
-        return false;
-    return subarrayOf(refRowCounter_) != openSubarray_;
+    if (openRow_ != kNone)
+        return kTickNever;
+    // Without SARP a refreshing bank accepts nothing. With SARP, an
+    // ACT may target any subarray other than the refreshing one.
+    if (!sarp_ || subarrayOf(row) == refreshSubarray_)
+        return std::max(actAllowedAt_, refreshUntil_);
+    return actAllowedAt_;
 }
 
 Tick
-Bank::nextDeadline(Tick now, bool hira) const
+Bank::refreshReadyAt() const
 {
-    Tick deadline = kTickNever;
-    const auto add = [&](Tick t) {
-        if (t > now && t < deadline)
-            deadline = t;
-    };
-    add(actAllowedAt_);
-    add(colAllowedAt_);
-    add(preAllowedAt_);
-    add(refreshUntil_);
-    // canHiddenRefresh() flips tHiRA after the demand ACT.
-    if (hira && lastActAt_ != kTickNever)
-        add(lastActAt_ + timing_->tHiRA);
-    return deadline;
+    if (openRow_ != kNone)
+        return kTickNever;
+    return std::max(actAllowedAt_, refreshUntil_);
+}
+
+Tick
+Bank::hiddenRefreshReadyAt() const
+{
+    if (openRow_ == kNone || subarrayOf(refRowCounter_) == openSubarray_)
+        return kTickNever;
+    return std::max(refreshUntil_, lastActAt_ + timing_->tHiRA);
 }
 
 void

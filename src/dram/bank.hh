@@ -30,22 +30,41 @@ class Bank
     Bank(const TimingParams *timing, int rowsPerSubarray, int rowsPerBank,
          bool sarp);
 
-    /** @name Command legality (bank-local constraints only). */
+    /**
+     * @name Command readiness (bank-local constraints only).
+     *
+     * Each *ReadyAt() returns the earliest tick at which the command's
+     * bank-local constraints hold if no other command issues; a value
+     * <= now means legal now, kTickNever that another command must
+     * change the bank first (e.g. ACT to an open bank). The values are
+     * exact, and each can*() predicate is its readiness compared with
+     * @p now, so legality has one implementation.
+     */
     /// @{
-    bool canAct(Tick now, RowId row) const;
-    bool canRead(Tick now) const;
-    bool canWrite(Tick now) const;
-    bool canPre(Tick now) const;
+    Tick actReadyAt(RowId row) const;
+    Tick colReadyAt() const { return isOpen() ? colAllowedAt_ : kTickNever; }
+    Tick preReadyAt() const { return isOpen() ? preAllowedAt_ : kTickNever; }
 
     /** Bank idle (precharged, no refresh) so a refresh may start. */
-    bool canRefresh(Tick now) const;
+    Tick refreshReadyAt() const;
 
     /**
      * A HiRA hidden refresh may start: a row is open, no refresh is in
      * flight, the demand ACT is at least tHiRA cycles old, and the
      * refresh counter targets a different subarray than the open row.
      */
-    bool canHiddenRefresh(Tick now) const;
+    Tick hiddenRefreshReadyAt() const;
+
+    bool canAct(Tick now, RowId row) const { return actReadyAt(row) <= now; }
+    bool canRead(Tick now) const { return colReadyAt() <= now; }
+    bool canWrite(Tick now) const { return colReadyAt() <= now; }
+    bool canPre(Tick now) const { return preReadyAt() <= now; }
+    bool canRefresh(Tick now) const { return refreshReadyAt() <= now; }
+    bool
+    canHiddenRefresh(Tick now) const
+    {
+        return hiddenRefreshReadyAt() <= now;
+    }
     /// @}
 
     /** @name State transitions; caller must have checked legality. */
@@ -95,19 +114,6 @@ class Bank
 
     SubarrayId subarrayOf(RowId row) const { return row / rowsPerSubarray_; }
 
-    /** Earliest tick an ACT could be accepted (ignores rank constraints). */
-    Tick actReadyAt() const { return actAllowedAt_; }
-
-    /**
-     * Earliest pending bank-local threshold strictly after @p now
-     * (kTickNever when none): the instants at which any legality
-     * predicate above can flip. The event-driven engine wakes at each
-     * so a skipped span never crosses a legality change. @p hira
-     * includes the canHiddenRefresh() flip after each ACT -- only the
-     * HiRA schedulers consult that predicate, so other mechanisms
-     * skip the spurious per-ACT wake.
-     */
-    Tick nextDeadline(Tick now, bool hira) const;
     /// @}
 
   private:

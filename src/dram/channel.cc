@@ -14,81 +14,76 @@ Channel::Channel(const MemConfig *cfg, const TimingParams *timing)
         ranks_.emplace_back(cfg, timing);
     wrDataEnd_.assign(cfg->org.ranksPerChannel, 0);
     lastDemandActiveAt_.assign(cfg->org.ranksPerChannel, 0);
-    rankDeadlineCache_.assign(cfg->org.ranksPerChannel, 0);
-    rankDeadlineDirty_.assign(cfg->org.ranksPerChannel, 1);
 }
 
-bool
-Channel::busOkForRead(RankId r, Tick now) const
+Tick
+Channel::busFreeFor(RankId r, Cycles lead) const
 {
-    const Tick data_start = now + timing_->tCl;
     // The burst must find the bus free, plus a rank-switch gap.
     Tick bus_free = busBusyUntil_;
     if (lastBurstRank_ != kNone && lastBurstRank_ != r)
         bus_free += timing_->tRtrs;
-    if (data_start < bus_free)
-        return false;
-    // Write-to-read turnaround within the same rank (tWTR counts from the
-    // end of write data to the read command).
-    if (now < wrDataEnd_[r] + timing_->tWtr)
-        return false;
-    return true;
+    const Tick c = static_cast<Tick>(lead.count());
+    return bus_free > c ? bus_free - c : 0;
 }
 
-bool
-Channel::busOkForWrite(RankId r, Tick now) const
+Tick
+Channel::readBusReadyAt(RankId r) const
 {
-    const Tick data_start = now + timing_->tCwl;
-    Tick bus_free = busBusyUntil_;
-    if (lastBurstRank_ != kNone && lastBurstRank_ != r)
-        bus_free += timing_->tRtrs;
-    if (data_start < bus_free)
-        return false;
-    // Read-to-write command turnaround on the shared bus.
-    if (lastRdCmdAt_ != kTickNever &&
-        now < lastRdCmdAt_ + timing_->tRtw) {
-        return false;
-    }
-    return true;
+    // Write-to-read turnaround within the same rank (tWTR counts from
+    // the end of write data to the read command).
+    return std::max(busFreeFor(r, timing_->tCl),
+                    wrDataEnd_[r] + timing_->tWtr);
 }
 
-bool
-Channel::canIssue(const Command &cmd, Tick now) const
+Tick
+Channel::writeBusReadyAt(RankId r) const
+{
+    // Read-to-write command turnaround on the shared bus.
+    const Tick rtw =
+        lastRdCmdAt_ == kTickNever ? 0 : lastRdCmdAt_ + timing_->tRtw;
+    return std::max(busFreeFor(r, timing_->tCwl), rtw);
+}
+
+Tick
+Channel::readyAt(const Command &cmd, Tick now) const
 {
     const Rank &rk = ranks_[cmd.rank];
     // A rank in self-refresh accepts only SRX, and nothing at all
-    // inside the tXS exit window. The rank-level can* checks repeat
-    // this for refresh commands (schedulers query them directly); the
-    // bank-level paths are covered only here.
-    if (rk.selfRefreshLockout(now) && cmd.type != CommandType::kSrExit)
-        return false;
+    // inside the tXS exit window. The rank-level readiness repeats
+    // this for ACT and refresh commands (schedulers query them
+    // directly); the bank-level paths are covered only here.
     switch (cmd.type) {
       case CommandType::kAct:
-        return rk.bank(cmd.bank).canAct(now, cmd.row) &&
-            rk.canActRankLevel(now);
+        return std::max(rk.bank(cmd.bank).actReadyAt(cmd.row),
+                        rk.actRankReadyAt(now));
       case CommandType::kRd:
       case CommandType::kRdA:
-        return rk.bank(cmd.bank).canRead(now) && busOkForRead(cmd.rank, now);
+        return std::max({rk.lockoutReadyAt(), rk.bank(cmd.bank).colReadyAt(),
+                         readBusReadyAt(cmd.rank)});
       case CommandType::kWr:
       case CommandType::kWrA:
-        return rk.bank(cmd.bank).canWrite(now) &&
-            busOkForWrite(cmd.rank, now);
+        return std::max({rk.lockoutReadyAt(), rk.bank(cmd.bank).colReadyAt(),
+                         writeBusReadyAt(cmd.rank)});
       case CommandType::kPre:
-        return rk.bank(cmd.bank).canPre(now);
+        return std::max(rk.lockoutReadyAt(), rk.bank(cmd.bank).preReadyAt());
       case CommandType::kRefPb:
-        return rk.canRefPbRankLevel(now) &&
-            (cmd.hidden ? rk.bank(cmd.bank).canHiddenRefresh(now)
-                        : rk.bank(cmd.bank).canRefresh(now));
+        if (cmd.hidden) {
+            return std::max(rk.refPbRankReadyAt(now),
+                            rk.bank(cmd.bank).hiddenRefreshReadyAt());
+        }
+        return std::max(rk.refPbRankReadyAt(now),
+                        rk.bank(cmd.bank).refreshReadyAt());
       case CommandType::kRefAb:
-        return rk.canRefAb(now);
+        return rk.refAbReadyAt();
       case CommandType::kRefSb:
-        return rk.canRefSb(now, cmd.bank);
+        return rk.refSbReadyAt(cmd.bank);
       case CommandType::kSrEnter:
-        return rk.canSrEnter(now);
+        return rk.srEnterReadyAt();
       case CommandType::kSrExit:
-        return rk.canSrExit(now);
+        return rk.srExitReadyAt();
     }
-    return false;
+    return kTickNever;
 }
 
 Tick
@@ -96,7 +91,6 @@ Channel::issue(const Command &cmd, Tick now)
 {
     DSARP_ASSERT(canIssue(cmd, now), "issuing illegal command");
     Rank &rk = ranks_[cmd.rank];
-    rankDeadlineDirty_[cmd.rank] = 1;
     if (!isRefreshCmd(cmd.type) && !isSelfRefreshCmd(cmd.type))
         lastDemandActiveAt_[cmd.rank] = now;
     switch (cmd.type) {
@@ -111,7 +105,6 @@ Channel::issue(const Command &cmd, Tick now)
         rk.bank(cmd.bank).onRead(now, cmd.type == CommandType::kRdA);
         const Tick data_end = now + timing_->tCl + timing_->tBl;
         busBusyUntil_ = data_end;
-        lastBurstWasWrite_ = false;
         lastBurstRank_ = cmd.rank;
         lastRdCmdAt_ = now;
         ++stats_.reads;
@@ -123,7 +116,6 @@ Channel::issue(const Command &cmd, Tick now)
         rk.bank(cmd.bank).onWrite(now, cmd.type == CommandType::kWrA);
         const Tick data_end = now + timing_->tCwl + timing_->tBl;
         busBusyUntil_ = data_end;
-        lastBurstWasWrite_ = true;
         lastBurstRank_ = cmd.rank;
         wrDataEnd_[cmd.rank] = data_end;
         ++stats_.writes;
@@ -188,53 +180,30 @@ Channel::issue(const Command &cmd, Tick now)
 }
 
 Tick
-Channel::nextDeadline(Tick now) const
+Channel::nextActivityChange(Tick now) const
 {
-    Tick deadline = kTickNever;
+    Tick next = kTickNever;
     const auto add = [&](Tick t) {
-        if (t > now && t < deadline)
-            deadline = t;
+        if (t > now && t < next)
+            next = t;
     };
-    // A column command leads its burst by tCL/tCWL, so the command
-    // legality instant is that much *before* the bus frees (with the
-    // tRTRS variant for a rank switch).
-    const auto addLead = [&](Tick busFree, Cycles lead) {
-        const Tick c = static_cast<Tick>(lead.count());
-        if (busFree > c)
-            add(busFree - c);
-    };
-    addLead(busBusyUntil_, timing_->tCl);
-    addLead(busBusyUntil_ + timing_->tRtrs, timing_->tCl);
-    addLead(busBusyUntil_, timing_->tCwl);
-    addLead(busBusyUntil_ + timing_->tRtrs, timing_->tCwl);
-    if (lastRdCmdAt_ != kTickNever)
-        add(lastRdCmdAt_ + timing_->tRtw);
-    for (RankId r = 0; r < static_cast<RankId>(ranks_.size()); ++r) {
-        add(wrDataEnd_[r] + timing_->tWtr);
+    for (RankId r = 0; r < numRanks(); ++r) {
+        // Refresh ends move isActive() and the masked refresh counts.
+        add(ranks_[r].nextRefreshEnd(now));
         if (cfg_->selfRefreshIdleCycles > 0) {
             add(lastDemandActiveAt_[r] +
                 static_cast<Tick>(cfg_->selfRefreshIdleCycles));
         }
-        // A rank's deadline set only moves when a command issues to it
-        // (every eff* flip instant -- refresh start/end -- is either an
-        // issue or itself an enumerated deadline capping the cached
-        // value), so the O(banks) walk reruns only after an issue or
-        // once the cached instant has passed.
-        if (rankDeadlineDirty_[r] || rankDeadlineCache_[r] <= now) {
-            rankDeadlineCache_[r] = ranks_[r].nextDeadline(now);
-            rankDeadlineDirty_[r] = 0;
-        }
-        add(rankDeadlineCache_[r]);
     }
-    return deadline;
+    return next;
 }
 
 void
 Channel::sampleActivitySpan(Tick firstTick, Tick ticks)
 {
     // One evaluation per rank stands for the whole span: the event
-    // engine wakes at every threshold nextDeadline() enumerates, so
-    // within a skipped span every predicate below is constant.
+    // engine wakes at every nextActivityChange() instant, so within a
+    // skipped span every predicate below is constant.
     for (RankId r = 0; r < static_cast<RankId>(ranks_.size()); ++r) {
         const Rank &rk = ranks_[r];
         stats_.rankTotalTicks += ticks;

@@ -89,8 +89,23 @@ class Channel
     const Rank &rank(RankId r) const { return ranks_[r]; }
     int numRanks() const { return static_cast<int>(ranks_.size()); }
 
+    /**
+     * Earliest tick at which @p cmd can become legal if no other
+     * command issues (<= @p now: legal now; kTickNever: only another
+     * command can enable it), over its bank, rank, and data-bus
+     * constraints. Never later than the true instant, and exact except
+     * where refresh inflation bounds an ACT (Rank::actRankReadyAt()).
+     * @p now must be the current tick: the rank's in-flight refresh
+     * lists are pruned at it.
+     */
+    Tick readyAt(const Command &cmd, Tick now) const;
+
     /** Full legality check: bank, rank, and data-bus constraints. */
-    bool canIssue(const Command &cmd, Tick now) const;
+    bool
+    canIssue(const Command &cmd, Tick now) const
+    {
+        return readyAt(cmd, now) <= now;
+    }
 
     /**
      * Issue a command (must be legal). Returns the tick the data burst
@@ -105,18 +120,19 @@ class Channel
     /**
      * Bulk form of sampleActivity() for the event-driven engine: one
      * evaluation at @p firstTick stands for @p ticks consecutive
-     * skipped ticks. Legal only inside an inert span -- the engine
-     * wakes at every threshold below, so no predicate can change.
+     * skipped ticks. Legal only inside an inert span that crosses no
+     * nextActivityChange() instant, so no predicate can change.
      */
     void sampleActivitySpan(Tick firstTick, Tick ticks);
 
     /**
-     * Earliest pending channel/rank/bank threshold strictly after
-     * @p now (kTickNever when none): bus-turnaround instants (command
-     * legality leads the burst by tCL/tCWL), tWTR/tRTW windows, the
-     * legacy IDD6 idle threshold, and every rank/bank deadline.
+     * Earliest tick after @p now at which sampleActivity() can classify
+     * some rank differently without a command issuing: the end of an
+     * in-flight refresh, or a rank crossing the legacy IDD6 idle
+     * threshold (kTickNever when neither is pending). The event engine
+     * wakes there so sampleActivitySpan() sees a constant span.
      */
-    Tick nextDeadline(Tick now) const;
+    Tick nextActivityChange(Tick now) const;
 
     const ChannelStats &stats() const { return stats_; }
     const TimingParams &timing() const { return *timing_; }
@@ -140,21 +156,22 @@ class Channel
     void resetStats() { stats_ = ChannelStats{}; }
 
   private:
-    bool busOkForRead(RankId r, Tick now) const;
-    bool busOkForWrite(RankId r, Tick now) const;
+    /** Data-bus readiness of a read / write command to rank @p r. */
+    Tick readBusReadyAt(RankId r) const;
+    Tick writeBusReadyAt(RankId r) const;
+
+    /** Earliest command tick whose burst, led by @p lead, finds the
+     *  bus free for rank @p r (tRTRS on a rank switch). */
+    Tick busFreeFor(RankId r, Cycles lead) const;
 
     const MemConfig *cfg_;
     const TimingParams *timing_;
     std::vector<Rank> ranks_;
 
     Tick busBusyUntil_ = 0;        ///< End of the last data burst.
-    bool lastBurstWasWrite_ = false;
     RankId lastBurstRank_ = kNone;
     Tick lastRdCmdAt_ = kTickNever;
     std::vector<Tick> wrDataEnd_;  ///< Per-rank last write-data end (tWTR).
-    /** Per-rank memo of Rank::nextDeadline, dirtied by issue(). */
-    mutable std::vector<Tick> rankDeadlineCache_;
-    mutable std::vector<std::uint8_t> rankDeadlineDirty_;
 
     /**
      * Per-rank tick of the last *demand* command (ACT/RD/WR/PRE).

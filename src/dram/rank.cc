@@ -7,6 +7,31 @@
 
 namespace dsarp {
 
+namespace {
+
+/** Latest end tick in an in-flight refresh list (0 when empty). */
+Tick
+latestEnd(const std::vector<Tick> &ends)
+{
+    Tick latest = 0;
+    for (Tick end : ends)
+        latest = std::max(latest, end);
+    return latest;
+}
+
+/** Earliest end tick in an in-flight refresh list (kTickNever when
+ *  empty). */
+Tick
+earliestEnd(const std::vector<Tick> &ends)
+{
+    Tick earliest = kTickNever;
+    for (Tick end : ends)
+        earliest = std::min(earliest, end);
+    return earliest;
+}
+
+} // namespace
+
 Rank::Rank(const MemConfig *cfg, const TimingParams *timing)
     : cfg_(cfg), timing_(timing)
 {
@@ -90,53 +115,49 @@ Rank::inflationRefPbCount(Tick now) const
                             hiddenRefPbCount(now));
 }
 
-Cycles
-Rank::effTRrd(Tick now) const
+Rank::ActWindows
+Rank::actWindows(Tick now) const
 {
-    if (cfg_->sarp || cfg_->hira || cfg_->maxOverlappedRefPb > 1) {
-        if (refAbInFlight(now))
-            return tRrdInflAb_;
-        const int pb = inflationRefPbCount(now);
-        if (pb == 1)
-            return tRrdInflPb_;
-        if (pb > 1) {
-            return timing_->tRrd.ceilScaled(
-                refreshInflationMult(*cfg_, false, pb));
-        }
+    ActWindows w{timing_->tRrd, timing_->tFaw, kTickNever};
+    if (!(cfg_->sarp || cfg_->hira || cfg_->maxOverlappedRefPb > 1))
+        return w;
+    if (refAbInFlight(now))
+        return {tRrdInflAb_, tFawInflAb_, refAbUntil_};
+    // A REFab never overlaps a REFpb. The per-bank refreshes counted
+    // here are the list inflationPbCount() counts, pruned to ends
+    // after now.
+    const int pb = inflationRefPbCount(now);
+    if (pb == 0)
+        return w;
+    const bool all = cfg_->sarp || cfg_->maxOverlappedRefPb > 1;
+    const std::vector<Tick> &ends = all ? refPbEnds_ : hiddenPbEnds_;
+    w.inflatedUntil = earliestEnd(ends);
+    if (pb == 1) {
+        w.tRrd = tRrdInflPb_;
+        w.tFaw = tFawInflPb_;
+    } else {
+        const double mult = refreshInflationMult(*cfg_, false, pb);
+        w.tRrd = timing_->tRrd.ceilScaled(mult);
+        w.tFaw = timing_->tFaw.ceilScaled(mult);
     }
-    return timing_->tRrd;
+    return w;
 }
 
-Cycles
-Rank::effTFaw(Tick now) const
+Tick
+Rank::actRankReadyAt(Tick now) const
 {
-    if (cfg_->sarp || cfg_->hira || cfg_->maxOverlappedRefPb > 1) {
-        if (refAbInFlight(now))
-            return tFawInflAb_;
-        const int pb = inflationRefPbCount(now);
-        if (pb == 1)
-            return tFawInflPb_;
-        if (pb > 1) {
-            return timing_->tFaw.ceilScaled(
-                refreshInflationMult(*cfg_, false, pb));
-        }
-    }
-    return timing_->tFaw;
-}
-
-bool
-Rank::canActRankLevel(Tick now) const
-{
-    if (selfRefreshLockout(now))
-        return false;
-    if (lastActAt_ != kTickNever && now < lastActAt_ + effTRrd(now))
-        return false;
-    if (actsSeen_ >= 4) {
-        // Oldest of the last four ACTs bounds the four-activate window.
-        if (now < actWindow_[0] + effTFaw(now))
-            return false;
-    }
-    return true;
+    const ActWindows w = actWindows(now);
+    Tick window = 0;
+    if (lastActAt_ != kTickNever)
+        window = lastActAt_ + w.tRrd;
+    // Oldest of the last four ACTs bounds the four-activate window.
+    if (actsSeen_ >= 4)
+        window = std::max(window, actWindow_[0] + w.tFaw);
+    // The inflation in effect at now lasts only until the refresh
+    // causing it ends; past that instant the windows shrink.
+    if (window > now)
+        window = std::min(window, w.inflatedUntil);
+    return std::max(lockoutReadyAt(), window);
 }
 
 bool
@@ -145,47 +166,44 @@ Rank::refSbInFlight(Tick now) const
     return pruneInFlight(refSbEnds_, now) > 0;
 }
 
-bool
-Rank::canRefPbRankLevel(Tick now) const
+Tick
+Rank::refPbRankReadyAt(Tick now) const
 {
-    return !selfRefreshLockout(now) &&
-        refPbCount(now) < cfg_->maxOverlappedRefPb &&
-        !refAbInFlight(now) && !refSbInFlight(now);
+    Tick ready =
+        std::max({lockoutReadyAt(), refAbUntil_, latestEnd(refSbEnds_)});
+    // The count never exceeds the cap (onRefPb asserts it), so at the
+    // cap the earliest end frees the slot.
+    if (refPbCount(now) >= cfg_->maxOverlappedRefPb)
+        ready = std::max(ready, earliestEnd(refPbEnds_));
+    return ready;
 }
 
-bool
-Rank::canRefAb(Tick now) const
+Tick
+Rank::banksReadyAt(int lo, int hi) const
 {
-    if (selfRefreshLockout(now))
-        return false;
-    if (refPbInFlight(now) || refAbInFlight(now) || refSbInFlight(now))
-        return false;
-    for (const Bank &b : banks_) {
-        if (!b.canRefresh(now))
-            return false;
-    }
-    return true;
+    Tick ready = 0;
+    for (int b = lo; b < hi; ++b)
+        ready = std::max(ready, banks_[b].refreshReadyAt());
+    return ready;
 }
 
-bool
-Rank::canRefSb(Tick now, int group) const
+Tick
+Rank::refAbReadyAt() const
 {
-    if (selfRefreshLockout(now))
-        return false;
+    return std::max({lockoutReadyAt(), refreshBusyUntil(),
+                     banksReadyAt(0, numBanks())});
+}
+
+Tick
+Rank::refSbReadyAt(int group) const
+{
     // Refreshes of any granularity never overlap within a rank; banks
     // outside the slice are unconstrained (they keep serving).
-    if (refAbInFlight(now) || refPbInFlight(now) || refSbInFlight(now))
-        return false;
     const int slice = timing_->banksPerGroup;
-    if (slice <= 0 || group < 0 ||
-        (group + 1) * slice > static_cast<int>(banks_.size())) {
-        return false;
-    }
-    for (int b = group * slice; b < (group + 1) * slice; ++b) {
-        if (!banks_[b].canRefresh(now))
-            return false;
-    }
-    return true;
+    if (slice <= 0 || group < 0 || (group + 1) * slice > numBanks())
+        return kTickNever;
+    return std::max({lockoutReadyAt(), refreshBusyUntil(),
+                     banksReadyAt(group * slice, (group + 1) * slice)});
 }
 
 void
@@ -235,28 +253,21 @@ Rank::onRefAb(Tick now, Cycles t_rfc_override, int rows_override)
     refAbUntil_ = now + t_rfc;
 }
 
-bool
-Rank::canSrEnter(Tick now) const
+Tick
+Rank::srEnterReadyAt() const
 {
     // SRE needs a fully quiesced rank: the device assumes control of
     // refresh from a precharged, refresh-idle state (JEDEC: all banks
-    // precharged, tRFC of any refresh satisfied).
-    if (srActive_ || now < srExitLockoutUntil_)
-        return false;
-    if (refAbInFlight(now) || refPbInFlight(now) || refSbInFlight(now))
-        return false;
-    for (const Bank &b : banks_) {
-        if (!b.canRefresh(now))
-            return false;
-    }
-    return true;
+    // precharged, tRFC of any refresh satisfied) -- what a REFab needs.
+    return refAbReadyAt();
 }
 
-bool
-Rank::canSrExit(Tick now) const
+Tick
+Rank::srExitReadyAt() const
 {
-    return srActive_ && srEnteredAt_ != kTickNever &&
-        now >= srEnteredAt_ + timing_->tCkesr;
+    if (!srActive_ || srEnteredAt_ == kTickNever)
+        return kTickNever;
+    return srEnteredAt_ + timing_->tCkesr;
 }
 
 void
@@ -276,33 +287,6 @@ Rank::onSrExit(Tick now)
     // The device finishes its in-progress internal refresh burst on
     // exit: nothing is legal on the rank until tXS has elapsed.
     srExitLockoutUntil_ = now + timing_->tXs;
-}
-
-Tick
-Rank::nextDeadline(Tick now) const
-{
-    Tick deadline = kTickNever;
-    const auto add = [&](Tick t) {
-        if (t > now && t < deadline)
-            deadline = t;
-    };
-    if (lastActAt_ != kTickNever)
-        add(lastActAt_ + effTRrd(now));
-    if (actsSeen_ >= 4)
-        add(actWindow_[0] + effTFaw(now));
-    add(refAbUntil_);
-    for (Tick end : refPbEnds_)
-        add(end);
-    for (Tick end : hiddenPbEnds_)
-        add(end);
-    for (Tick end : refSbEnds_)
-        add(end);
-    add(srExitLockoutUntil_);
-    if (srActive_ && srEnteredAt_ != kTickNever)
-        add(srEnteredAt_ + timing_->tCkesr);
-    for (const Bank &b : banks_)
-        add(b.nextDeadline(now, cfg_->hira));
-    return deadline;
 }
 
 bool
@@ -332,14 +316,23 @@ Rank::hasOpenRow() const
 }
 
 Tick
+Rank::nextRefreshEnd(Tick now) const
+{
+    Tick next = refAbUntil_ > now ? refAbUntil_ : kTickNever;
+    for (const std::vector<Tick> *ends : {&refPbEnds_, &refSbEnds_}) {
+        for (Tick end : *ends) {
+            if (end > now)
+                next = std::min(next, end);
+        }
+    }
+    return next;
+}
+
+Tick
 Rank::refreshBusyUntil() const
 {
-    Tick latest = refAbUntil_;
-    for (Tick end : refPbEnds_)
-        latest = std::max(latest, end);
-    for (Tick end : refSbEnds_)
-        latest = std::max(latest, end);
-    return latest;
+    return std::max({refAbUntil_, latestEnd(refPbEnds_),
+                     latestEnd(refSbEnds_)});
 }
 
 } // namespace dsarp

@@ -26,17 +26,41 @@ class Rank
     const Bank &bank(BankId b) const { return banks_[b]; }
     int numBanks() const { return static_cast<int>(banks_.size()); }
 
-    /** @name Rank-level command legality. */
+    /**
+     * @name Rank-level command readiness.
+     *
+     * Each *ReadyAt() returns the earliest tick at which the command's
+     * rank-level constraints hold if no other command issues (<= now:
+     * legal now; kTickNever: only another command can enable it), and
+     * each can*() predicate is its readiness compared with @p now. The
+     * values are exact except where actRankReadyAt() says otherwise.
+     * Where a readiness takes @p now, it prunes the in-flight refresh
+     * lists at that tick, so callers pass the current tick, never a
+     * later one.
+     */
     /// @{
 
-    /** tRRD/tFAW check for a new ACT (inflated during refresh if SARP). */
-    bool canActRankLevel(Tick now) const;
+    /** First tick the rank accepts commands other than SRX: kTickNever
+     *  in self-refresh, the end of the tXS exit window otherwise. */
+    Tick
+    lockoutReadyAt() const
+    {
+        return srActive_ ? kTickNever : srExitLockoutUntil_;
+    }
+
+    /**
+     * tRRD/tFAW for a new ACT (inflated during refresh if SARP). A
+     * refresh in flight at @p now inflates the windows only until it
+     * ends; when the inflated window reaches past that end, the end is
+     * returned instead -- a lower bound, re-evaluated there.
+     */
+    Tick actRankReadyAt(Tick now) const;
 
     /** A REFpb may start: previous REFpb done and no REFab in flight. */
-    bool canRefPbRankLevel(Tick now) const;
+    Tick refPbRankReadyAt(Tick now) const;
 
     /** A REFab may start: all banks idle, no refresh in flight. */
-    bool canRefAb(Tick now) const;
+    Tick refAbReadyAt() const;
 
     /**
      * A same-bank refresh (DDR5 REFsb) of bank-group slice @p group
@@ -45,7 +69,7 @@ class Rank
      * serving accesses throughout -- the standard's own refresh-access
      * parallelism.
      */
-    bool canRefSb(Tick now, int group) const;
+    Tick refSbReadyAt(int group) const;
 
     /**
      * Self-refresh entry (SRE) may issue: not already in self-refresh,
@@ -53,11 +77,30 @@ class Rank
      * kind in flight, and every bank precharged -- the device takes
      * over its own refresh from a fully idle rank.
      */
-    bool canSrEnter(Tick now) const;
+    Tick srEnterReadyAt() const;
 
     /** Self-refresh exit (SRX) may issue: in self-refresh and the
      *  minimum residency tCKESR has elapsed since entry. */
-    bool canSrExit(Tick now) const;
+    Tick srExitReadyAt() const;
+
+    bool
+    canActRankLevel(Tick now) const
+    {
+        return actRankReadyAt(now) <= now;
+    }
+    bool
+    canRefPbRankLevel(Tick now) const
+    {
+        return refPbRankReadyAt(now) <= now;
+    }
+    bool canRefAb(Tick now) const { return refAbReadyAt() <= now; }
+    bool
+    canRefSb(Tick now, int group) const
+    {
+        return refSbReadyAt(group) <= now;
+    }
+    bool canSrEnter(Tick now) const { return srEnterReadyAt() <= now; }
+    bool canSrExit(Tick now) const { return srExitReadyAt() <= now; }
     /// @}
 
     /** @name State transitions. */
@@ -84,7 +127,7 @@ class Rank
      */
     bool selfRefreshLockout(Tick now) const
     {
-        return srActive_ || now < srExitLockoutUntil_;
+        return lockoutReadyAt() > now;
     }
 
     /** Tick the current self-refresh residency began (kTickNever when
@@ -132,26 +175,20 @@ class Rank
     /** Any bank with an open row (demand activity, refresh excluded). */
     bool hasOpenRow() const;
 
-    /** End tick of the newest in-flight refresh (0 when none). */
+    /** End tick of the oldest refresh in flight after @p now
+     *  (kTickNever when none). */
+    Tick nextRefreshEnd(Tick now) const;
+
+    /** End tick of the newest in-flight refresh (0 when none, or a
+     *  past tick once every refresh has ended). */
     Tick refreshBusyUntil() const;
 
     /**
      * Effective tRRD/tFAW at @p now: the datasheet value, multiplied by
      * the SARP power-integrity factor while a refresh is in flight.
      */
-    Cycles effTRrd(Tick now) const;
-    Cycles effTFaw(Tick now) const;
-
-    /**
-     * Earliest pending rank- or bank-level threshold strictly after
-     * @p now (kTickNever when none). Every legality predicate of this
-     * rank flips only at one of these instants, so the event-driven
-     * engine is safe to sleep to the minimum. tRRD/tFAW use the
-     * inflation effective at @p now; the refresh-end ticks that change
-     * the inflation are themselves deadlines, so the value is exact
-     * within the span.
-     */
-    Tick nextDeadline(Tick now) const;
+    Cycles effTRrd(Tick now) const { return actWindows(now).tRrd; }
+    Cycles effTFaw(Tick now) const { return actWindows(now).tFaw; }
 
   private:
     /** Prune ended entries from an in-flight list; return the count. */
@@ -162,6 +199,19 @@ class Rank
 
     /** inflationPbCount() on this rank's live refresh state. */
     int inflationRefPbCount(Tick now) const;
+
+    /** Latest refreshReadyAt() over banks [lo, hi). */
+    Tick banksReadyAt(int lo, int hi) const;
+
+    /** tRRD/tFAW in effect at @p now, and the end of the earliest
+     *  in-flight refresh inflating them (kTickNever when none does). */
+    struct ActWindows
+    {
+        Cycles tRrd;
+        Cycles tFaw;
+        Tick inflatedUntil;
+    };
+    ActWindows actWindows(Tick now) const;
 
     const MemConfig *cfg_;
     const TimingParams *timing_;

@@ -32,6 +32,9 @@ class AllBankScheduler : public RefreshScheduler
     /** Nothing changes between ledger accrual instants. */
     Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
 
+    /** Every request is blocking; nothing waits on legality. */
+    Tick pullInReadyAt(Tick) const override { return kTickNever; }
+
     const RefreshLedger &ledger() const { return ledger_; }
 
   private:

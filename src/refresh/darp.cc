@@ -1,5 +1,7 @@
 #include "refresh/darp.hh"
 
+#include <algorithm>
+
 #include "refresh/registry.hh"
 
 namespace dsarp {
@@ -48,7 +50,14 @@ DarpScheduler::refreshable(RankId r, BankId b, Tick now) const
 void
 DarpScheduler::tick(Tick now)
 {
+    // No unit accrued in (lastTick_, now]: no nominal instant arrived
+    // (a paused rank's units are skipped below anyway).
+    const bool accrued = ledger_.nextAccrualTick() <= now;
     ledger_.advanceTo(now);
+    if (!accrued) {
+        lastTick_ = now;
+        return;
+    }
 
     // Figure 8, step 1: at each bank's nominal refresh instant, decide
     // whether to postpone. A refresh is postponed when the bank has
@@ -148,6 +157,30 @@ DarpScheduler::opportunistic(Tick now, RefreshRequest &out)
         return true;
     }
     return false;
+}
+
+Tick
+DarpScheduler::pullInReadyAt(Tick now) const
+{
+    const bool write_refresh =
+        writeRefreshEnabled_ && view_->inWritebackMode();
+    Tick ready = kTickNever;
+    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
+        const Rank &rk = view_->dram().rank(r);
+        const Tick rank_ready = rk.refPbRankReadyAt(now);
+        // urgent() skips a rank with any refresh in flight.
+        const Tick write_gate = std::max(rank_ready, rk.refreshBusyUntil());
+        for (BankId b = 0; b < banks_; ++b) {
+            if (!ledger_.canPullIn(r, b))
+                continue;
+            const Tick bank_ready = rk.bank(b).refreshReadyAt();
+            if (view_->pendingDemands(r, b) == 0)
+                ready = std::min(ready, std::max(rank_ready, bank_ready));
+            else if (write_refresh)
+                ready = std::min(ready, std::max(write_gate, bank_ready));
+        }
+    }
+    return ready;
 }
 
 void

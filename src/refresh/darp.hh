@@ -47,6 +47,14 @@ class DarpScheduler : public RefreshScheduler
      */
     Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
 
+    /**
+     * The opportunistic pull-in's candidates (banks with credit and no
+     * pending demand) and, in writeback mode, Algorithm 1's (banks
+     * with credit, once their rank has no refresh in flight): the
+     * earliest tick any of them becomes refreshable.
+     */
+    Tick pullInReadyAt(Tick now) const override;
+
     const RefreshLedger &ledger() const { return ledger_; }
 
   protected:

@@ -39,6 +39,9 @@ class ElasticScheduler : public RefreshScheduler
      */
     Tick nextWake(Tick now) override;
 
+    /** Elastic refresh never pulls in; its releases are blocking. */
+    Tick pullInReadyAt(Tick) const override { return kTickNever; }
+
     /**
      * urgent() bumps the forced counter every tick a rank sits at the
      * postpone limit; replay those bumps across the skipped span.

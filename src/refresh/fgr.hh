@@ -49,6 +49,9 @@ class AdaptiveScheduler : public RefreshScheduler
      */
     Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
 
+    /** Every request is blocking; nothing waits on legality. */
+    Tick pullInReadyAt(Tick) const override { return kTickNever; }
+
     /**
      * urgent() bumps the forced counter every tick a rank sits at the
      * postpone limit with a full slot due; replay those bumps.

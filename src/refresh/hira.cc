@@ -1,5 +1,7 @@
 #include "refresh/hira.hh"
 
+#include <algorithm>
+
 #include "refresh/registry.hh"
 
 namespace dsarp {
@@ -125,14 +127,22 @@ HiraScheduler::urgent(Tick now, std::vector<RefreshRequest> &out)
 }
 
 Tick
-HiraScheduler::nextWake(Tick now)
+HiraScheduler::pullInReadyAt(Tick now) const
 {
-    Tick wake = DarpScheduler::nextWake(now);
-    for (const HiddenWindow &win : windows_) {
-        if (win.armed && win.readyAt > now && win.readyAt < wake)
-            wake = win.readyAt;
+    Tick ready = DarpScheduler::pullInReadyAt(now);
+    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
+        const Rank &rk = view_->dram().rank(r);
+        for (BankId b = 0; b < banks_; ++b) {
+            const HiddenWindow &win = windows_[index(r, b)];
+            if (!win.armed || !ledger_.canPullInParts(r, b, 1))
+                continue;
+            const Tick t = std::max({win.readyAt, rk.refPbRankReadyAt(now),
+                                     rk.bank(b).hiddenRefreshReadyAt()});
+            if (t <= win.expiresAt)
+                ready = std::min(ready, t);
+        }
     }
-    return wake;
+    return ready;
 }
 
 void

@@ -55,12 +55,12 @@ class HiraScheduler : public DarpScheduler
     void onDemandCommand(const Command &cmd, Tick now) override;
 
     /**
-     * DARP's accrual instants plus pending hidden-window openings
-     * (readyAt of each armed window). Expiry needs no wake: past
-     * expiresAt the window merely stops *trying*, and an inert try has
-     * no side effects.
+     * DARP's candidates plus each armed hidden-refresh window's: the
+     * hidden REFpb's readiness, no earlier than the window opens. A
+     * window that expires first needs no wake: past expiresAt it
+     * merely stops *trying*, and an inert try has no side effects.
      */
-    Tick nextWake(Tick now) override;
+    Tick pullInReadyAt(Tick now) const override;
 
     /** Hidden refreshes issued beneath ACTs (subset of stats().issued). */
     std::uint64_t hiddenIssued() const { return hiddenIssued_; }

@@ -33,6 +33,7 @@ RefreshLedger::RefreshLedger(int ranks, int banks, Cycles period,
             nextAccrual_[index(r, b)] = offset;
         }
     }
+    earliest_ = scanEarliest();
 }
 
 void
@@ -63,6 +64,9 @@ RefreshLedger::setDenominator(int denom)
 void
 RefreshLedger::advanceTo(Tick now)
 {
+    // Most ticks accrue nothing: return without walking the units.
+    if (now < earliest_)
+        return;
     for (int i = 0; i < static_cast<int>(owed_.size()); ++i) {
         if (pausedAt_[i / banks_] != kTickNever)
             continue;  // Rank in self-refresh: the device accrues.
@@ -72,6 +76,7 @@ RefreshLedger::advanceTo(Tick now)
             ++totalAccrued_;
         }
     }
+    earliest_ = scanEarliest();
 }
 
 void
@@ -80,6 +85,7 @@ RefreshLedger::pauseRank(RankId r, Tick now)
     DSARP_ASSERT(r >= 0 && r < ranks_, "pauseRank: bad rank");
     DSARP_ASSERT(pausedAt_[r] == kTickNever, "rank already paused");
     pausedAt_[r] = now;
+    earliest_ = scanEarliest();
 }
 
 void
@@ -109,6 +115,7 @@ RefreshLedger::resumeRank(RankId r, Tick now)
         nextAccrual_[i] += paused;
         firstAccrual_[i] += paused;
     }
+    earliest_ = scanEarliest();
 }
 
 bool
@@ -154,7 +161,7 @@ RefreshLedger::onPartialRefresh(RankId r, BankId b, int parts)
 }
 
 Tick
-RefreshLedger::nextAccrualTick() const
+RefreshLedger::scanEarliest() const
 {
     Tick earliest = kTickNever;
     for (int i = 0; i < static_cast<int>(owed_.size()); ++i) {

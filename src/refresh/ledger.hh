@@ -93,9 +93,10 @@ class RefreshLedger
      * Earliest pending accrual instant over all units of unpaused
      * ranks (kTickNever when every rank is paused). The event-driven
      * engine must wake the scheduler at every accrual, or postpone
-     * decisions and mustForce flips would land late.
+     * decisions and mustForce flips would land late. O(1): kept up to
+     * date by every call that moves an accrual instant.
      */
-    Tick nextAccrualTick() const;
+    Tick nextAccrualTick() const { return earliest_; }
 
     /**
      * @name Self-refresh pause.
@@ -119,6 +120,9 @@ class RefreshLedger
   private:
     int index(RankId r, BankId b) const { return r * banks_ + b; }
 
+    /** nextAccrualTick() recomputed over the units. */
+    Tick scanEarliest() const;
+
     int ranks_;
     int banks_;
     Tick period_;
@@ -127,6 +131,7 @@ class RefreshLedger
     std::vector<Tick> nextAccrual_;
     std::vector<Tick> firstAccrual_;
     std::vector<Tick> pausedAt_;    ///< Per rank; kTickNever = running.
+    Tick earliest_ = kTickNever;    ///< See nextAccrualTick().
     int denom_ = 1;
     std::uint64_t totalAccrued_ = 0;
     std::uint64_t totalRetired_ = 0;

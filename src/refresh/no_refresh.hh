@@ -20,6 +20,7 @@ class NoRefreshScheduler : public RefreshScheduler
     bool opportunistic(Tick, RefreshRequest &) override { return false; }
     void onIssued(const RefreshRequest &, Tick) override {}
     Tick nextWake(Tick) override { return kTickNever; }
+    Tick pullInReadyAt(Tick) const override { return kTickNever; }
 };
 
 } // namespace dsarp

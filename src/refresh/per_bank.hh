@@ -33,6 +33,9 @@ class PerBankScheduler : public RefreshScheduler
     /** Nothing changes between ledger accrual instants. */
     Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
 
+    /** Every request is blocking; nothing waits on legality. */
+    Tick pullInReadyAt(Tick) const override { return kTickNever; }
+
     const RefreshLedger &ledger() const { return ledger_; }
 
     /** Next bank the round-robin order will refresh for a rank. */

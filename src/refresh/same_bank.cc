@@ -1,5 +1,7 @@
 #include "refresh/same_bank.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "refresh/registry.hh"
 
@@ -164,6 +166,24 @@ SameBankScheduler::opportunistic(Tick now, RefreshRequest &out)
         return true;
     }
     return false;
+}
+
+Tick
+SameBankScheduler::pullInReadyAt(Tick) const
+{
+    if (!pullInEnabled_)
+        return kTickNever;
+    Tick ready = kTickNever;
+    for (RankId r = 0; r < ledger_.numRanks(); ++r) {
+        for (int g = 0; g < groups_; ++g) {
+            if (pendingDemandsGroup(r, g) > 0 ||
+                !ledger_.canPullInParts(r, g, 1)) {
+                continue;
+            }
+            ready = std::min(ready, view_->dram().rank(r).refSbReadyAt(g));
+        }
+    }
+    return ready;
 }
 
 void

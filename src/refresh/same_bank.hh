@@ -59,6 +59,10 @@ class SameBankScheduler : public RefreshScheduler
      */
     Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
 
+    /** The pull-in's candidates (slices with credit and no pending
+     *  demand): the earliest tick any of them can take a REFsb. */
+    Tick pullInReadyAt(Tick now) const override;
+
     const RefreshLedger &ledger() const { return ledger_; }
 
     /** Bank-group slices per rank. */

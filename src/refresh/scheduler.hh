@@ -137,16 +137,35 @@ class RefreshScheduler
     }
 
     /**
-     * Earliest tick strictly after @p now at which this policy could
-     * behave differently than it just did (ledger accrual instants,
-     * HiRA window arming, elastic idle-release thresholds, ...). The
-     * event-driven engine sleeps to the minimum over all components;
+     * Earliest tick strictly after @p now at which this policy's own
+     * state could make it behave differently than it just did (ledger
+     * accrual instants, elastic idle-release thresholds, ...); DRAM
+     * readiness is pullInReadyAt()'s. The event-driven engine sleeps
+     * to the minimum over all components;
      * returning @p now is the always-safe default and forces the
      * legacy one-tick step. Called only on ticks where the controller
      * issued nothing.
      */
     virtual Tick
     nextWake(Tick now)
+    {
+        return now;
+    }
+
+    /**
+     * Earliest tick at which a refresh this policy emits only once it
+     * is already legal -- an idle-channel pull-in from opportunistic(),
+     * DARP's write-refresh parallelization, a HiRA hidden refresh --
+     * can become legal, from the DRAM readiness of its candidates
+     * (kTickNever when there are none). Like Channel::readyAt() it must
+     * never be late: the event-driven engine sleeps through every tick
+     * before the minimum of this, nextWake(), and the readiness of the
+     * commands the controller tried. Called only on ticks where the
+     * controller issued nothing; returning @p now is the always-safe
+     * default.
+     */
+    virtual Tick
+    pullInReadyAt(Tick now) const
     {
         return now;
     }

@@ -89,7 +89,7 @@ struct RunConfig
 
     /**
      * Simulation engine (= sim.engine): empty keeps the SystemConfig
-     * default ("event", the skip-to-next-deadline loop); "cycle"
+     * default ("event", the skip-to-next-wake loop); "cycle"
      * selects the reference loop. Results are bit-identical either
      * way, so the alone-IPC cache deliberately ignores it.
      */

@@ -231,18 +231,21 @@ System::runCycle(Tick end)
 void
 System::runEvent(Tick end)
 {
-    // Per-component skip-to-next-deadline loop. Each controller and
-    // core keeps its own clock: a wake tick (the earliest instant it
-    // could act differently, per its nextWake() certificate) and an
-    // accounted-through cursor. A component executes only at its wake
-    // ticks; the inert span in between is bulk-accounted through
-    // skipTicks() -- linear stat accrual and RNG replay -- exactly
-    // when the component is next touched. Every executed tick runs in
-    // the cycle loop's order (controllers ascending, then cores
-    // ascending), and every cross-component interaction re-wakes its
-    // target first (enqueues via the bind() hooks, read deliveries via
-    // the read callback, queue-slot frees via poppedWithRejection), so
-    // commands, stats, and random streams stay bit-identical to
+    // Per-component skip-to-next-wake loop. Each controller and core
+    // keeps its own clock: a wake tick (the earliest instant it could
+    // act differently, per its nextWake() certificate -- for a
+    // controller, the earliest tick a command it wants can become
+    // legal, not every DRAM timing threshold) and an accounted-through
+    // cursor. A component executes only at its wake ticks; the inert
+    // span in between is bulk-accounted through skipTicks() -- linear
+    // stat accrual and RNG replay -- exactly when the component is
+    // next touched. A controller's read data arriving inside such a
+    // span is delivered without executing its tick. Every executed
+    // tick runs in the cycle loop's order (controllers ascending, then
+    // cores ascending), and every cross-component interaction re-wakes
+    // its target first (enqueues via the bind() hooks, read deliveries
+    // via the read callback, queue-slot frees via poppedWithRejection),
+    // so commands, stats, and random streams stay bit-identical to
     // runCycle().
     // The open-loop injector occupies the single core slot: it ticks
     // in the core phase, pop-wakes re-arm its blocked backlog heads,
@@ -251,6 +254,7 @@ System::runEvent(Tick end)
     const std::size_t nks = injector_ ? 1 : cores_.size();
     ctlWake_.assign(ncs, now_);
     ctlNext_.assign(ncs, now_);
+    ctlDeliver_.assign(ncs, kTickNever);
     coreWake_.assign(nks, now_);
     coreNext_.assign(nks, now_);
     ctlRan_.assign(ncs, 0);
@@ -261,10 +265,22 @@ System::runEvent(Tick end)
         const Tick t = now_;
 
         for (std::size_t i = 0; i < ncs; ++i) {
-            if (ctlWake_[i] > t)
+            if (ctlWake_[i] > t) {
+                // Read data arriving inside an inert span is delivered
+                // without ticking: it never changes the arbitration's
+                // answer, and the tick is accounted with the span.
+                if (ctlDeliver_[i] <= t) {
+                    controllers_[i]->deliverReads(t);
+                    ctlDeliver_[i] = controllers_[i]->nextDelivery();
+                    ++engine_.deliveries;
+                }
                 continue;
+            }
             ctlCatchUp(i, t);
+            const std::uint64_t picks = controllers_[i]->picks();
             controllers_[i]->tick(t);
+            ++engine_.controllerTicks;
+            engine_.picks += controllers_[i]->picks() - picks;
             ctlNext_[i] = t + 1;
             ctlRan_[i] = 1;
             if (controllers_[i]->consumePoppedWithRejection()) {
@@ -291,8 +307,9 @@ System::runEvent(Tick end)
                 ctlRan_[i] = 0;
                 const Tick w = controllers_[i]->nextWake(t);
                 ctlWake_[i] = w <= t ? t + 1 : w;
+                ctlDeliver_[i] = controllers_[i]->nextDelivery();
             }
-            next = std::min(next, ctlWake_[i]);
+            next = std::min({next, ctlWake_[i], ctlDeliver_[i]});
         }
         for (std::size_t j = 0; j < nks; ++j) {
             if (coreRan_[j]) {

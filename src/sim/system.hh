@@ -13,6 +13,7 @@
 #ifndef DSARP_SIM_SYSTEM_HH
 #define DSARP_SIM_SYSTEM_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -93,6 +94,21 @@ class System
     /** Per-core IPC over the current measurement window. */
     std::vector<double> coreIpc() const;
 
+    /**
+     * Work the event-driven engine did since construction (warmup
+     * included; resetStats() leaves it alone). Engine-side accounting
+     * only -- the cycle loop leaves it at zero -- so it sits outside
+     * every stat the engines must agree on.
+     */
+    struct EngineCounters
+    {
+        std::uint64_t controllerTicks = 0;  ///< Executed, not skipped.
+        std::uint64_t picks = 0;            ///< FR-FCFS picks they ran.
+        /** Read deliveries made without a controller tick. */
+        std::uint64_t deliveries = 0;
+    };
+    const EngineCounters &engineCounters() const { return engine_; }
+
     /** Per-channel command logs (non-null only with enableChecker). */
     const std::vector<TimedCommand> &commandLog(int ch) const
     {
@@ -138,8 +154,10 @@ class System
      *  tick not yet accounted (executed or skipped). */
     /// @{
     std::vector<Tick> ctlWake_, ctlNext_, coreWake_, coreNext_;
+    std::vector<Tick> ctlDeliver_;  ///< Next read delivery per controller.
     std::vector<std::uint8_t> ctlRan_, coreRan_;
     bool eventRun_ = false;
+    EngineCounters engine_;
     /// @}
 };
 

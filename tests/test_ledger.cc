@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hh"
 #include "refresh/ledger.hh"
 
 using namespace dsarp;
@@ -183,4 +187,71 @@ TEST(Ledger, MultiRankIndependence)
     ledger.advanceTo(5000);
     ledger.onRefresh(1, 5);
     EXPECT_EQ(ledger.owed(0, 5), ledger.owed(1, 5) + 1);
+}
+
+TEST(Ledger, NextAccrualMemoMatchesScanAcrossPauseResume)
+{
+    // nextAccrualTick() is a memo that lets advanceTo() return at once
+    // on ticks with no accrual. Check it, and the accruals it gates,
+    // against an independent per-unit model scanned in full at every
+    // step, across pause/resume and denominator changes.
+    constexpr int kRanks = 2;
+    constexpr int kBanks = 4;
+    constexpr Tick kPeriod = 97;
+    RefreshLedger ledger(kRanks, kBanks, Cycles(97), Cycles(13), Cycles(7));
+
+    std::vector<Tick> next(kRanks * kBanks);
+    for (int r = 0; r < kRanks; ++r) {
+        for (int b = 0; b < kBanks; ++b)
+            next[r * kBanks + b] = kPeriod + 13 * r + 7 * b;
+    }
+    std::vector<Tick> paused_at(kRanks, kTickNever);
+    std::uint64_t accrued = 0;
+
+    Rng rng(3);
+    Tick now = 0;
+    int pauses = 0;
+    int idle_advances = 0;
+    for (int step = 0; step < 4000; ++step) {
+        now += rng.below(4) == 0 ? rng.below(300) : rng.below(20);
+        const bool accrues = ledger.nextAccrualTick() <= now;
+        ledger.advanceTo(now);
+        idle_advances += !accrues;
+        for (int i = 0; i < kRanks * kBanks; ++i) {
+            if (paused_at[i / kBanks] != kTickNever)
+                continue;
+            for (; next[i] <= now; next[i] += kPeriod)
+                ++accrued;
+        }
+
+        const RankId r = static_cast<RankId>(rng.below(kRanks));
+        if (rng.below(8) == 0) {
+            if (paused_at[r] == kTickNever) {
+                ledger.pauseRank(r, now);
+                paused_at[r] = now;
+                ++pauses;
+            } else {
+                ledger.resumeRank(r, now);
+                for (int b = 0; b < kBanks; ++b)
+                    next[r * kBanks + b] += now - paused_at[r];
+                paused_at[r] = kTickNever;
+            }
+        }
+        if (step == 1500)
+            ledger.setDenominator(4);
+        if (ledger.owed(r, 0) > 0)
+            ledger.onRefresh(r, 0);
+
+        Tick earliest = kTickNever;
+        for (int i = 0; i < kRanks * kBanks; ++i) {
+            if (paused_at[i / kBanks] == kTickNever)
+                earliest = std::min(earliest, next[i]);
+        }
+        ASSERT_EQ(ledger.nextAccrualTick(), earliest) << "step " << step;
+        ASSERT_EQ(ledger.totalAccrued(), accrued) << "step " << step;
+    }
+    // Both paths of advanceTo() and of pause/resume ran.
+    EXPECT_GT(pauses, 100);
+    EXPECT_GT(idle_advances, 1000);
+    EXPECT_GT(accrued, 1000u);
 }
