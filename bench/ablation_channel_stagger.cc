@@ -62,9 +62,9 @@ Point
 runPoint(Runner &runner, const std::vector<Workload> &workloads,
          const std::string &mech, int channels, int stagger)
 {
-    RunConfig cfg = mechNamed(mech, Density::k8Gb);
+    ExperimentConfig cfg = mechNamed(mech, Density::k8Gb);
     cfg.channels = channels;
-    cfg.channelStaggerCycles = stagger;
+    cfg.channelStagger = stagger;
     const auto results = sweep(runner, cfg, workloads);
     Point p;
     p.wsGmean = gmean(wsOf(results));

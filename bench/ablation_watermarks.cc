@@ -31,16 +31,18 @@ main(int argc, char **argv)
     std::printf("%-18s %12s %14s\n", "watermarks hi/lo", "DARP vs REFpb",
                 "pulled-in/run");
     for (int high : {40, 48, 54, 60}) {
-        RunConfig base = mechRefPb(Density::k32Gb);
+        ExperimentConfig base = mechNamed("REFpb", Density::k32Gb);
         base.writeHighWatermark = high;
-        RunConfig darp = mechDarp(Density::k32Gb);
+        ExperimentConfig darp = mechNamed("DARP", Density::k32Gb);
         darp.writeHighWatermark = high;
+        const SystemConfig base_sys = base.toSystemConfig();
+        const SystemConfig darp_sys = darp.toSystemConfig();
 
         std::vector<double> ws_b, ws_d;
         double pulled = 0.0;
         for (const Workload &w : workloads) {
-            ws_b.push_back(runner.run(base, w).ws);
-            const RunResult rd = runner.run(darp, w);
+            ws_b.push_back(runner.run(base_sys, w).ws);
+            const RunResult rd = runner.run(darp_sys, w);
             ws_d.push_back(rd.ws);
             pulled += static_cast<double>(rd.refPb);
         }

@@ -20,6 +20,7 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "dram/spec.hh"
+#include "sim/experiment.hh"
 #include "sim/parallel.hh"
 #include "sim/runner.hh"
 #include "workload/workload.hh"
@@ -148,20 +149,24 @@ applyJobsFromArgs(int argc, char **argv)
 }
 
 /**
- * A sweep point selecting its mechanism by refresh-policy registry
- * name ("DSARP", "FGR2x", ...) -- the same names dsarp_sim --mech and
- * Simulation::builder().policy() accept -- and optionally its DRAM
- * backend by spec-registry name. Prefer this over the mech*() helpers
- * when a bench iterates over mechanisms.
+ * A sweep point: the mechanism by refresh-policy registry name
+ * ("DSARP", "FGR2x", ...) -- the same names dsarp_sim --mech and
+ * Simulation::builder().policy() accept -- at density @p d, on the
+ * DRAM spec @p dramSpec. An empty spec inherits the bench-wide
+ * DSARP_DRAM_SPEC axis, so every figure re-runs per backend without
+ * per-figure wiring. Benches refine the returned config field by
+ * field, like any ExperimentConfig.
  */
-inline RunConfig
+inline ExperimentConfig
 mechNamed(const std::string &policy, Density d,
           const std::string &dramSpec = "")
 {
-    RunConfig cfg;
-    cfg.density = d;
+    ExperimentConfig cfg;
     cfg.policy = policy;
-    cfg.dramSpec = dramSpec;
+    cfg.densityGb = d == Density::k8Gb ? 8 : d == Density::k16Gb ? 16 : 32;
+    const std::string spec = dramSpec.empty() ? defaultSpec() : dramSpec;
+    if (!spec.empty())
+        cfg.dramSpec = spec;
     return cfg;
 }
 
@@ -213,40 +218,32 @@ maxPctOver(const std::vector<double> &xs, const std::vector<double> &bases)
     return best;
 }
 
-/**
- * Run one mechanism over a workload list; progress to stderr. A sweep
- * point that did not pick a DRAM spec explicitly inherits the
- * DSARP_DRAM_SPEC axis, so existing benches re-run per backend without
- * per-figure wiring.
- */
+/** Run one sweep point over a workload list; progress to stderr. */
 inline std::vector<RunResult>
-sweep(Runner &runner, const RunConfig &cfgIn,
+sweep(Runner &runner, const ExperimentConfig &cfg,
       const std::vector<Workload> &workloads)
 {
-    RunConfig cfg = cfgIn;
-    if (cfg.dramSpec.empty())
-        cfg.dramSpec = defaultSpec();
+    const SystemConfig sys = cfg.toSystemConfig();
+    const std::string mech = cfg.mechanismName();
     if (sweepJobs() > 1) {
         // Sharded across the bench-wide pool; SweepRunner collects
         // results by point index, so the output (and therefore every
         // printed figure) is byte-identical to the serial path.
-        std::fprintf(stderr, "  [%s %s] %zu workloads x %d jobs\r",
-                     densityName(cfg.density),
-                     cfg.mechanismName().c_str(), workloads.size(),
+        std::fprintf(stderr, "  [%dGb %s] %zu workloads x %d jobs\r",
+                     cfg.densityGb, mech.c_str(), workloads.size(),
                      sweepJobs());
         SweepRunner sharded(runner, sweepJobs());
-        auto out = sharded.run(cfg, workloads);
+        auto out = sharded.run(sys, workloads);
         std::fprintf(stderr, "%60s\r", "");
         return out;
     }
     std::vector<RunResult> out;
     out.reserve(workloads.size());
     for (const Workload &w : workloads) {
-        std::fprintf(stderr, "  [%s %s] workload %d/%zu\r",
-                     densityName(cfg.density),
-                     cfg.mechanismName().c_str(), w.index + 1,
+        std::fprintf(stderr, "  [%dGb %s] workload %d/%zu\r",
+                     cfg.densityGb, mech.c_str(), w.index + 1,
                      workloads.size());
-        out.push_back(runner.run(cfg, w));
+        out.push_back(runner.run(sys, w));
     }
     std::fprintf(stderr, "%60s\r", "");
     return out;

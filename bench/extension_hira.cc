@@ -44,7 +44,7 @@ measure(Runner &runner, const std::string &mech, const std::string &spec,
         Density d, const std::vector<Workload> &workloads,
         int fgrRate = 0)
 {
-    RunConfig cfg = mechNamed(mech, d, spec);
+    ExperimentConfig cfg = mechNamed(mech, d, spec);
     cfg.fgrRate = fgrRate;
     const auto results = sweep(runner, cfg, workloads);
     MechPoint p;

@@ -31,8 +31,9 @@ main(int argc, char **argv)
         std::printf("[channels: %d]\n", channels);
 
     const auto point = [&](const char *mech, Density d) {
-        RunConfig cfg = mechNamed(mech, d, spec);
-        cfg.channels = channels;
+        ExperimentConfig cfg = mechNamed(mech, d, spec);
+        if (channels > 0)
+            cfg.channels = channels;
         return cfg;
     };
 

@@ -48,8 +48,8 @@ main(int argc, char **argv)
         std::printf("[self-refresh idle entry: %d cycles]\n", srIdle);
     }
     auto mech = [&](const std::string &name, Density d) {
-        RunConfig cfg = mechNamed(name, d, spec);
-        cfg.srIdleEntryCycles = srIdle;
+        ExperimentConfig cfg = mechNamed(name, d, spec);
+        cfg.srIdleEntry = srIdle;
         return cfg;
     };
 

@@ -47,13 +47,13 @@ RunResult
 runPoint(Runner &runner, const std::string &mech, const std::string &map,
          const std::string &mode, double ratePerKilocycle)
 {
-    RunConfig cfg = mechNamed(mech, Density::k8Gb, defaultSpec());
+    ExperimentConfig cfg = mechNamed(mech, Density::k8Gb);
     cfg.addressMap = map;
     cfg.traffic.mode = mode;
     cfg.traffic.ratePerKilocycle = ratePerKilocycle;
     cfg.traffic.hotRowPct = 50.0;
     cfg.traffic.hotRows = 8;
-    return runner.runTraffic(cfg);
+    return runner.runTraffic(cfg.toSystemConfig());
 }
 
 void

@@ -107,13 +107,12 @@ BM_FrFcfsPickNothingIssuable(benchmark::State &state)
 BENCHMARK(BM_FrFcfsPickNothingIssuable)->Arg(8)->Arg(32)->Arg(64);
 
 void
-SystemTicks(benchmark::State &state, RefreshMode mode, bool sarp)
+SystemTicks(benchmark::State &state, const char *policy)
 {
     SystemConfig cfg;
     cfg.numCores = 8;
     cfg.mem.density = Density::k32Gb;
-    cfg.mem.refresh = mode;
-    cfg.mem.sarp = sarp;
+    cfg.mem.policy = policy;
     std::vector<int> mix;
     for (int c = 0; c < 8; ++c)
         mix.push_back(intensiveBenchmarks()[c % 11]);
@@ -127,28 +126,28 @@ SystemTicks(benchmark::State &state, RefreshMode mode, bool sarp)
 void
 BM_SystemTicks_NoRef(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kNoRefresh, false);
+    SystemTicks(state, "NoREF");
 }
 BENCHMARK(BM_SystemTicks_NoRef);
 
 void
 BM_SystemTicks_RefAb(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kAllBank, false);
+    SystemTicks(state, "REFab");
 }
 BENCHMARK(BM_SystemTicks_RefAb);
 
 void
 BM_SystemTicks_RefPb(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kPerBank, false);
+    SystemTicks(state, "REFpb");
 }
 BENCHMARK(BM_SystemTicks_RefPb);
 
 void
 BM_SystemTicks_Dsarp(benchmark::State &state)
 {
-    SystemTicks(state, RefreshMode::kDarp, true);
+    SystemTicks(state, "DSARP");
 }
 BENCHMARK(BM_SystemTicks_Dsarp);
 

@@ -85,10 +85,11 @@ runPass(Runner &runner, const std::vector<GridPoint> &grid,
         std::fprintf(stderr, "  [%s %d] %s %s %s (%zu/%zu)%10s\r", engine,
                      jobs, gp.spec.c_str(), gp.mech.c_str(),
                      densityName(gp.density), i + 1, grid.size(), "");
-        RunConfig cfg = mechNamed(gp.mech, gp.density, gp.spec);
+        ExperimentConfig cfg = mechNamed(gp.mech, gp.density, gp.spec);
         cfg.engine = engine;
+        const SystemConfig sys = cfg.toSystemConfig();
         const auto p0 = std::chrono::steady_clock::now();
-        const auto results = sharded.run(cfg, workloads);
+        const auto results = sharded.run(sys, workloads);
         pass.pointSeconds.push_back(secondsSince(p0));
         for (const RunResult &r : results)
             pass.wsSum += r.ws;
@@ -191,11 +192,12 @@ main(int argc, char **argv)
                 warm.push_back(gp);  // One mechanism per (spec, density).
         }
         parallelFor(jobs, warm.size(), [&](std::size_t i) {
-            RunConfig cfg = mechNamed("NoREF", warm[i].density,
-                                      warm[i].spec);
+            const SystemConfig sys =
+                mechNamed("NoREF", warm[i].density, warm[i].spec)
+                    .toSystemConfig();
             for (const Workload &w : workloads)
                 for (int bench : w.benchIdx)
-                    runner.aloneIpc(bench, cfg);
+                    runner.aloneIpc(bench, sys);
         });
         std::printf("alone-IPC prewarm: %.2fs\n", secondsSince(t0));
     }

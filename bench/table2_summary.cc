@@ -30,11 +30,14 @@ main(int argc, char **argv)
     std::printf("%-8s %-10s %10s %10s %12s %12s\n", "density", "mech",
                 "max/pb", "max/ab", "gmean/pb", "gmean/ab");
     for (Density d : densities()) {
-        const auto refab = wsOf(sweep(runner, mechRefAb(d), workloads));
-        const auto refpb = wsOf(sweep(runner, mechRefPb(d), workloads));
-        const auto darp = wsOf(sweep(runner, mechDarp(d), workloads));
-        const auto sarppb = wsOf(sweep(runner, mechSarpPb(d), workloads));
-        const auto dsarp = wsOf(sweep(runner, mechDsarp(d), workloads));
+        const auto ws = [&](const char *mech) {
+            return wsOf(sweep(runner, mechNamed(mech, d), workloads));
+        };
+        const auto refab = ws("REFab");
+        const auto refpb = ws("REFpb");
+        const auto darp = ws("DARP");
+        const auto sarppb = ws("SARPpb");
+        const auto dsarp = ws("DSARP");
 
         const struct
         {

@@ -30,15 +30,17 @@ main(int argc, char **argv)
         const auto workloads = makeIntensiveWorkloads(
             runner.workloadsPerCategory() * 2, cores, 5);
 
-        RunConfig base = mechRefAb(d);
+        ExperimentConfig base = mechNamed("REFab", d);
         base.numCores = cores;
-        RunConfig dsarp = mechDsarp(d);
+        ExperimentConfig dsarp = mechNamed("DSARP", d);
         dsarp.numCores = cores;
+        const SystemConfig base_sys = base.toSystemConfig();
+        const SystemConfig dsarp_sys = dsarp.toSystemConfig();
 
         std::vector<double> ws_b, ws_d, hs_b, hs_d, ms_b, ms_d, e_b, e_d;
         for (const Workload &w : workloads) {
-            const RunResult rb = runner.run(base, w);
-            const RunResult rd = runner.run(dsarp, w);
+            const RunResult rb = runner.run(base_sys, w);
+            const RunResult rd = runner.run(dsarp_sys, w);
             ws_b.push_back(rb.ws);
             ws_d.push_back(rd.ws);
             hs_b.push_back(rb.hs);

@@ -30,17 +30,19 @@ main(int argc, char **argv)
     for (int faw : {5, 10, 15, 20, 25, 30}) {
         const int rrd = faw / 5;
 
-        RunConfig base = mechRefPb(d);
+        ExperimentConfig base = mechNamed("REFpb", d);
         base.tFawOverride = faw;
         base.tRrdOverride = rrd;
-        RunConfig sarp = mechSarpPb(d);
+        ExperimentConfig sarp = mechNamed("SARPpb", d);
         sarp.tFawOverride = faw;
         sarp.tRrdOverride = rrd;
+        const SystemConfig base_sys = base.toSystemConfig();
+        const SystemConfig sarp_sys = sarp.toSystemConfig();
 
         std::vector<double> ws_b, ws_s;
         for (const Workload &w : workloads) {
-            ws_b.push_back(runner.run(base, w).ws);
-            ws_s.push_back(runner.run(sarp, w).ws);
+            ws_b.push_back(runner.run(base_sys, w).ws);
+            ws_s.push_back(runner.run(sarp_sys, w).ws);
         }
         std::printf("%3d/%-8d %13.1f%%\n", faw, rrd,
                     gmeanPctOver(ws_s, ws_b));

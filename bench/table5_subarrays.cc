@@ -30,15 +30,17 @@ main(int argc, char **argv)
 
     std::printf("%-12s %14s\n", "subarrays", "WS improvement");
     for (int subarrays : {1, 2, 4, 8, 16, 32, 64}) {
-        RunConfig base = mechRefPb(d);
+        ExperimentConfig base = mechNamed("REFpb", d);
         base.subarraysPerBank = subarrays;
-        RunConfig sarp = mechSarpPb(d);
+        ExperimentConfig sarp = mechNamed("SARPpb", d);
         sarp.subarraysPerBank = subarrays;
+        const SystemConfig base_sys = base.toSystemConfig();
+        const SystemConfig sarp_sys = sarp.toSystemConfig();
 
         std::vector<double> ws_b, ws_s;
         for (const Workload &w : workloads) {
-            ws_b.push_back(runner.run(base, w).ws);
-            ws_s.push_back(runner.run(sarp, w).ws);
+            ws_b.push_back(runner.run(base_sys, w).ws);
+            ws_s.push_back(runner.run(sarp_sys, w).ws);
         }
         std::printf("%-12d %13.1f%%\n", subarrays,
                     gmeanPctOver(ws_s, ws_b));

@@ -13,23 +13,6 @@
 namespace dsarp {
 
 const char *
-refreshModeName(RefreshMode mode)
-{
-    switch (mode) {
-      case RefreshMode::kNoRefresh: return "NoREF";
-      case RefreshMode::kAllBank: return "REFab";
-      case RefreshMode::kPerBank: return "REFpb";
-      case RefreshMode::kElastic: return "Elastic";
-      case RefreshMode::kDarp: return "DARP";
-      case RefreshMode::kFgr2x: return "FGR2x";
-      case RefreshMode::kFgr4x: return "FGR4x";
-      case RefreshMode::kAdaptive: return "AR";
-      case RefreshMode::kSameBank: return "REFsb";
-    }
-    return "?";
-}
-
-const char *
 densityName(Density d)
 {
     switch (d) {

@@ -23,11 +23,10 @@ namespace dsarp {
 /**
  * Refresh timing profiles evaluated in the paper (Sections 6.1, 6.5).
  *
- * @deprecated as a *selection* mechanism: pick policies by name through
- * MemConfig::policy and the RefreshPolicyRegistry instead. The enum
- * survives as the compact timing-profile descriptor that TimingParams
- * and the checker consume; registry entries set it from their config
- * bundles, and hand-written configs may still assign it directly.
+ * Not a selector: a mechanism is picked by name through
+ * MemConfig::policy. The enum is the compact timing-profile descriptor
+ * that TimingParams and the checker consume, written only by the
+ * registry entries' config bundles (RefreshPolicyRegistry::resolve()).
  */
 enum class RefreshMode {
     kNoRefresh,  ///< Ideal baseline: refresh eliminated.
@@ -40,9 +39,6 @@ enum class RefreshMode {
     kAdaptive,   ///< Adaptive refresh (AR) [Mukundan+, ISCA'13]: 1x/4x FGR.
     kSameBank,   ///< REFsb: DDR5 same-bank refresh (one bank-group slice).
 };
-
-/** Human-readable mechanism name, e.g. for bench table headers. */
-const char *refreshModeName(RefreshMode mode);
 
 /** DRAM chip density; determines rows/bank and tRFC (paper Table 1). */
 enum class Density { k8Gb, k16Gb, k32Gb };
@@ -139,16 +135,17 @@ struct MemConfig
     /**
      * Refresh mechanism by registry name ("REFab", "DSARP", "FGR2x",
      * ...; case-insensitive, aliases accepted -- see
-     * refresh/registry.hh). This is the canonical selection field: when
-     * non-empty, RefreshPolicyRegistry::resolve() applies the named
-     * mechanism's config bundle (overwriting `refresh` and `sarp`)
-     * before the system is built. When empty, the deprecated
-     * (`refresh`, `sarp`) pair below selects the mechanism unchanged.
+     * refresh/registry.hh). The only selection field:
+     * RefreshPolicyRegistry::resolve() resets `refresh`, `sarp` and
+     * `hira` below and applies the named mechanism's config bundle
+     * before the system is built.
      */
-    std::string policy;
+    std::string policy = "REFab";
 
-    RefreshMode refresh = RefreshMode::kAllBank;  ///< Timing profile.
-    bool sarp = false;      ///< Subarray access refresh parallelization.
+    /** Timing profile: an output of the policy's bundle. */
+    RefreshMode refresh = RefreshMode::kAllBank;
+    /** Subarray access refresh parallelization (bundle output). */
+    bool sarp = false;
 
     /**
      * HiRA (hidden row activation, Yağlıkçı et al., MICRO'22) support,

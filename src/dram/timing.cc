@@ -47,10 +47,4 @@ TimingParams::forConfig(const MemConfig &cfg)
     return DramSpecRegistry::instance().at(cfg.dramSpec).timingFor(cfg);
 }
 
-TimingParams
-TimingParams::ddr3_1333(const MemConfig &cfg)
-{
-    return DramSpecRegistry::instance().at("DDR3-1333").timingFor(cfg);
-}
-
 } // namespace dsarp

@@ -133,13 +133,6 @@ struct TimingParams
     static TimingParams forConfig(const MemConfig &cfg);
 
     /**
-     * The DDR3-1333 parameter set for a memory configuration,
-     * regardless of cfg.dramSpec. Kept for pre-registry callers; a
-     * shim over forConfig()'s derivation with the "DDR3-1333" spec.
-     */
-    static TimingParams ddr3_1333(const MemConfig &cfg);
-
-    /**
      * Convert nanoseconds to (rounded-up) bus cycles. The single
      * blessed ns -> cycles conversion point: all other arithmetic
      * between Nanoseconds and Cycles is a compile error, and the repo

@@ -6,10 +6,7 @@ namespace dsarp {
 
 DSARP_REGISTER_REFRESH_POLICY(refab, {
     "REFab", "rank-level all-bank refresh (DDR baseline)",
-    [](MemConfig &m) {
-        m.refresh = RefreshMode::kAllBank;
-        m.sarp = false;
-    },
+    [](MemConfig &m) { m.refresh = RefreshMode::kAllBank; },
     [](const MemConfig &c, const TimingParams &t, ControllerView &v) {
         return std::make_unique<AllBankScheduler>(&c, &t, &v);
     }}, {"all_bank"})

@@ -7,8 +7,9 @@
  * AR) and any user-defined policy -- is one registry entry carrying:
  *
  *   - the canonical name (plus aliases; lookups are case-insensitive),
- *   - a config bundle applied before the system is built (the refresh
- *     timing profile and the SARP flag, e.g. "DSARP" = DARP + SARP),
+ *   - a config bundle applied before the system is built: the
+ *     refresh timing profile and the SARP/HiRA flags it turns on
+ *     (e.g. "DSARP" = DARP's profile + SARP),
  *   - a factory building the per-channel scheduler.
  *
  * Policies register themselves from static initializers in their own
@@ -17,9 +18,12 @@
  * name table to edit. The core is linked as a CMake OBJECT library so
  * the registrars are never dead-stripped.
  *
- * Selection: set MemConfig::policy to a registered name. When the
- * field is empty, the deprecated (RefreshMode, sarp) pair is mapped to
- * its canonical name instead, which keeps pre-registry code working.
+ * Selection: MemConfig::policy (default "REFab") is the only selector.
+ * MemConfig::refresh, sarp and hira are outputs of the named bundle,
+ * read by TimingParams, Rank and the checker; resolve() recomputes
+ * them from the name every time, so assigning them by hand selects
+ * nothing (tools/lint/lint.py rejects such assignments outside
+ * src/refresh/).
  */
 
 #ifndef DSARP_REFRESH_REGISTRY_HH
@@ -49,10 +53,12 @@ class RefreshPolicyRegistry
         std::string summary;  ///< One-liner for --list-mechs and docs.
 
         /**
-         * Apply the mechanism's config bundle: the legacy timing-profile
-         * enum (which TimingParams and the checker still consume) and
-         * flags such as MemConfig::sarp. Run by resolve() when the
-         * mechanism was selected by name.
+         * Apply the mechanism's config bundle: the timing-profile enum
+         * (which TimingParams and the checker consume) and flags such
+         * as MemConfig::sarp. resolve() resets those fields to their
+         * MemConfig defaults first, so a bundle sets only what its
+         * mechanism turns on; it may be empty for a REFab-profile
+         * policy.
          */
         std::function<void(MemConfig &)> configure;
 
@@ -96,19 +102,15 @@ class RefreshPolicyRegistry
 
     /**
      * Resolve @p cfg to its registry entry and canonicalise it:
-     * cfg.policy is rewritten to the canonical spelling and the entry's
-     * config bundle is applied. An empty cfg.policy is first derived
-     * from the deprecated (refresh, sarp) pair, in which case the
-     * bundle is *not* applied so hand-built legacy configs (including
-     * unnamed combinations such as Elastic+SARP) keep their exact
-     * semantics.
+     * cfg.policy is rewritten to the canonical spelling, the bundle
+     * outputs (refresh, sarp, hira) are reset to their MemConfig
+     * defaults, and the entry's config bundle is applied. Idempotent,
+     * and re-resolving under another name leaves nothing of the old
+     * bundle behind. An unknown name is a fatal named-key error.
      */
     const Entry &resolve(MemConfig &cfg) const;
 
-    /**
-     * Build the scheduler selected by @p cfg (by name, or by the
-     * deprecated enum pair when cfg.policy is empty).
-     */
+    /** Build the scheduler named by @p cfg.policy. */
     std::unique_ptr<RefreshScheduler> make(const MemConfig &cfg,
                                            const TimingParams &timing,
                                            ControllerView &view) const;
@@ -129,13 +131,6 @@ class RefreshPolicyRegistry
      *  when later (runtime) registrations grow the registry. */
     std::deque<Entry> entries_;
 };
-
-/**
- * Canonical mechanism name for a deprecated (RefreshMode, sarp) pair:
- * the bridge that keeps enum-configured code addressable by the
- * registry ("DARP"+sarp → "DSARP", etc.).
- */
-std::string legacyPolicyName(RefreshMode mode, bool sarp);
 
 /**
  * Define a static registrar. Use at namespace scope in the policy's

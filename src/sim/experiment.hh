@@ -3,10 +3,12 @@
  * ExperimentConfig: the single, layered configuration surface for one
  * simulated experiment.
  *
- * It subsumes what used to be spread over three structs (SystemConfig,
- * the runner's RunConfig, and the CLI tool's private Options): the
- * refresh mechanism by registry name, DRAM geometry and density, core
- * count, queue/watermark knobs, run lengths, and the workload mix.
+ * It is the one description of a run -- the CLI, Simulation, and every
+ * bench sweep point are ExperimentConfigs: the refresh mechanism by
+ * registry name, DRAM geometry and density, core count,
+ * queue/watermark knobs, run lengths, and the workload mix.
+ * toSystemConfig() projects it onto the SystemConfig that System and
+ * Runner consume.
  *
  * Every field is settable as a "key=value" string override, so the
  * same config can be assembled from (in order of increasing

@@ -67,7 +67,7 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
 }
 
 std::vector<RunResult>
-SweepRunner::run(const RunConfig &cfg,
+SweepRunner::run(const SystemConfig &cfg,
                  const std::vector<Workload> &workloads)
 {
     std::vector<RunResult> out(workloads.size());

@@ -2,14 +2,16 @@
  * @file
  * Sharded parallel sweep execution.
  *
- * A sweep is a list of independent (RunConfig, Workload) points; the
- * SweepRunner shards them across a std::thread pool with an atomic
- * work-stealing index and writes each result into its point's slot, so
- * the output vector is byte-identical for any job count and any shard
- * order. Runner::run is safe to call concurrently: it holds no mutable
- * state beyond the process-wide alone-IPC memo cache, which is
- * mutex-guarded (see sim/runner.cc), and the registries are
- * thread-clean singletons (tests/test_thread_clean.cc).
+ * A sweep is a list of independent (SystemConfig, Workload) points;
+ * bench harnesses describe each as an ExperimentConfig and project it
+ * once with toSystemConfig(). The SweepRunner shards the points across
+ * a std::thread pool with an atomic work-stealing index and writes
+ * each result into its point's slot, so the output vector is
+ * byte-identical for any job count and any shard order. Runner::run
+ * is safe to call concurrently: it holds no mutable state beyond the
+ * process-wide alone-IPC memo cache, which is mutex-guarded (see
+ * sim/runner.cc), and the registries are thread-clean singletons
+ * (tests/test_thread_clean.cc).
  *
  * This file is the repo's single audited thread-spawn point: raw
  * std::thread/std::async anywhere else under src/ is a lint error
@@ -45,7 +47,7 @@ void parallelFor(int jobs, std::size_t n,
 /** One sweep point: a full system config plus the workload to run. */
 struct SweepPoint
 {
-    RunConfig cfg;
+    SystemConfig cfg;
     Workload workload;
 };
 
@@ -67,7 +69,7 @@ class SweepRunner
     std::vector<RunResult> run(const std::vector<SweepPoint> &points);
 
     /** The bench_common sweep() shape: one config, many workloads. */
-    std::vector<RunResult> run(const RunConfig &cfg,
+    std::vector<RunResult> run(const SystemConfig &cfg,
                                const std::vector<Workload> &workloads);
 
     /**

@@ -10,7 +10,6 @@
 #include "common/log.hh"
 #include "dram/address.hh"
 #include "dram/spec.hh"
-#include "refresh/registry.hh"
 #include "sim/metrics.hh"
 
 namespace dsarp {
@@ -31,125 +30,6 @@ envKnob(const char *name, std::uint64_t fallback)
                      name, value);
     }
     return parsed;
-}
-
-std::string
-RunConfig::mechanismName() const
-{
-    if (!policy.empty())
-        return RefreshPolicyRegistry::instance().at(policy).name;
-    if (sarp) {
-        if (refresh == RefreshMode::kAllBank)
-            return "SARPab";
-        if (refresh == RefreshMode::kPerBank)
-            return "SARPpb";
-        if (refresh == RefreshMode::kDarp)
-            return "DSARP";
-    }
-    return refreshModeName(refresh);
-}
-
-RunConfig
-mechRefAb(Density d)
-{
-    RunConfig cfg;
-    cfg.density = d;
-    cfg.refresh = RefreshMode::kAllBank;
-    return cfg;
-}
-
-RunConfig
-mechRefPb(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kPerBank;
-    return cfg;
-}
-
-RunConfig
-mechElastic(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kElastic;
-    return cfg;
-}
-
-RunConfig
-mechDarp(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kDarp;
-    return cfg;
-}
-
-RunConfig
-mechSarpAb(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.sarp = true;
-    return cfg;
-}
-
-RunConfig
-mechSarpPb(Density d)
-{
-    RunConfig cfg = mechRefPb(d);
-    cfg.sarp = true;
-    return cfg;
-}
-
-RunConfig
-mechDsarp(Density d)
-{
-    RunConfig cfg = mechDarp(d);
-    cfg.sarp = true;
-    return cfg;
-}
-
-RunConfig
-mechNoRef(Density d)
-{
-    RunConfig cfg = mechRefAb(d);
-    cfg.refresh = RefreshMode::kNoRefresh;
-    return cfg;
-}
-
-SystemConfig
-Runner::makeSystemConfig(const RunConfig &cfg)
-{
-    SystemConfig sys;
-    sys.mem.policy = cfg.policy;
-    if (!cfg.dramSpec.empty())
-        sys.mem.dramSpec = cfg.dramSpec;
-    if (!cfg.addressMap.empty())
-        sys.mem.addressMap = cfg.addressMap;
-    if (cfg.channels > 0)
-        sys.mem.org.channels = cfg.channels;
-    sys.mem.channelStaggerCycles = cfg.channelStaggerCycles;
-    sys.mem.density = cfg.density;
-    sys.mem.retentionMs = cfg.retentionMs;
-    sys.mem.refresh = cfg.refresh;
-    sys.mem.sarp = cfg.sarp;
-    sys.mem.darpWriteRefresh = cfg.darpWriteRefresh;
-    sys.mem.org.subarraysPerBank = cfg.subarraysPerBank;
-    sys.mem.tFawOverride = cfg.tFawOverride;
-    sys.mem.tRrdOverride = cfg.tRrdOverride;
-    if (cfg.writeHighWatermark > 0)
-        sys.mem.writeHighWatermark = cfg.writeHighWatermark;
-    if (cfg.writeLowWatermark > 0)
-        sys.mem.writeLowWatermark = cfg.writeLowWatermark;
-    if (cfg.refabStaggerDivisor > 0)
-        sys.mem.refabStaggerDivisor = cfg.refabStaggerDivisor;
-    if (cfg.maxOverlappedRefPb > 0)
-        sys.mem.maxOverlappedRefPb = cfg.maxOverlappedRefPb;
-    sys.mem.srIdleEntryCycles = cfg.srIdleEntryCycles;
-    sys.mem.fgrRate = cfg.fgrRate;
-    if (!cfg.engine.empty())
-        sys.engine = cfg.engine;
-    sys.traffic = cfg.traffic;
-    sys.numCores = cfg.numCores;
-    sys.seed = cfg.seed;
-    return sys;
 }
 
 Runner::Runner()
@@ -205,12 +85,6 @@ collectChannelStats(System &system, const SystemConfig &sys,
 } // namespace
 
 double
-Runner::aloneIpc(int bench_idx, const RunConfig &cfg)
-{
-    return aloneIpc(bench_idx, makeSystemConfig(cfg));
-}
-
-double
 Runner::aloneIpc(int bench_idx, const SystemConfig &sys)
 {
     // Process-wide memoization: keyed on every field the single-core
@@ -258,8 +132,6 @@ Runner::aloneIpc(int bench_idx, const SystemConfig &sys)
     // baselines).
     SystemConfig alone = sys;
     alone.mem.policy = "NoREF";
-    alone.mem.refresh = RefreshMode::kNoRefresh;
-    alone.mem.sarp = false;
     alone.mem.srIdleEntryCycles = 0;
     alone.mem.selfRefreshIdleCycles = 0;
     alone.numCores = 1;
@@ -272,12 +144,6 @@ Runner::aloneIpc(int bench_idx, const SystemConfig &sys)
     DSARP_ASSERT(ipc > 0.0, "alone run produced zero IPC");
     const std::lock_guard<std::mutex> lock(cacheMutex);
     return cache.emplace(key.str(), ipc).first->second;
-}
-
-RunResult
-Runner::run(const RunConfig &cfg, const Workload &workload)
-{
-    return run(makeSystemConfig(cfg), workload);
 }
 
 RunResult
@@ -369,12 +235,6 @@ Runner::runTraffic(const SystemConfig &sys)
         }
     }
     return res;
-}
-
-RunResult
-Runner::runTraffic(const RunConfig &cfg)
-{
-    return runTraffic(makeSystemConfig(cfg));
 }
 
 } // namespace dsarp

@@ -5,8 +5,11 @@
  *
  * Wraps System construction, warmup, measurement, metric computation
  * (WS/HS/max-slowdown against cached alone-run IPCs), and the energy
- * model. Run lengths come from environment knobs so the same binaries
- * scale from smoke tests to paper-fidelity sweeps:
+ * model. Every run kind takes one SystemConfig; callers describe a run
+ * as an ExperimentConfig (sim/experiment.hh) and project it once with
+ * toSystemConfig(), as Simulation and the bench sweeps do. Run lengths
+ * come from environment knobs so the same binaries scale from smoke
+ * tests to paper-fidelity sweeps:
  *
  *   DSARP_BENCH_CYCLES             measurement ticks   (default 250000)
  *   DSARP_BENCH_WARMUP             warmup ticks        (default 30000)
@@ -27,97 +30,6 @@
 #include "workload/workload.hh"
 
 namespace dsarp {
-
-/**
- * One evaluated system point (mechanism x density x knobs).
- *
- * Pre-dates ExperimentConfig (sim/experiment.hh), which is the full
- * layered configuration surface; RunConfig remains as the compact
- * sweep point the bench harnesses iterate over.
- */
-struct RunConfig
-{
-    Density density = Density::k8Gb;
-
-    /**
-     * DRAM device spec by registry name (see dram/spec.hh); empty
-     * keeps the MemConfig default ("DDR3-1333"). Gives every bench
-     * sweep a backend axis orthogonal to mechanism x density.
-     */
-    std::string dramSpec;
-
-    /**
-     * Address map by registry name (see dram/address.hh); empty keeps
-     * the MemConfig default ("burst-ch").
-     */
-    std::string addressMap;
-
-    /** Channels per system; 0 keeps the MemOrg default (2). */
-    int channels = 0;
-
-    /** Cross-channel refresh stagger in cycles (= the
-     *  refresh.channelStagger key): 0 off, -1 = tREFIab / channels. */
-    int channelStaggerCycles = 0;
-
-    /**
-     * Refresh mechanism by registry name; when non-empty it wins over
-     * the (refresh, sarp) pair below (see MemConfig::policy).
-     */
-    std::string policy;
-
-    RefreshMode refresh = RefreshMode::kAllBank;
-    bool sarp = false;
-    int retentionMs = 32;
-    int numCores = 8;
-    int subarraysPerBank = 8;
-    int tFawOverride = 0;
-    int tRrdOverride = 0;
-    bool darpWriteRefresh = true;
-    /** 0 keeps the MemConfig defaults for the following four knobs. */
-    int writeHighWatermark = 0;
-    int writeLowWatermark = 0;
-    int refabStaggerDivisor = 0;
-    int maxOverlappedRefPb = 0;  ///< Footnote-5 extension (>1 overlaps).
-
-    /** Command-level self-refresh idle-entry threshold in cycles
-     *  (= refresh.selfRefresh.idleEntry); 0 disables SRE/SRX. */
-    int srIdleEntryCycles = 0;
-
-    /** Explicit FGR rate for any mechanism (= refresh.fgrRate);
-     *  0 keeps the profile default, else 1/2/4. */
-    int fgrRate = 0;
-
-    /**
-     * Simulation engine (= sim.engine): empty keeps the SystemConfig
-     * default ("event", the skip-to-next-wake loop); "cycle"
-     * selects the reference loop. Results are bit-identical either
-     * way, so the alone-IPC cache deliberately ignores it.
-     */
-    std::string engine;
-
-    std::uint64_t seed = 1;
-
-    /**
-     * Open-loop traffic front end (traffic.* / tenant.* keys); mode
-     * "off" keeps the closed-loop cores and every legacy result
-     * bit-identical. When enabled, run the point through
-     * Runner::runTraffic().
-     */
-    TrafficConfig traffic;
-
-    /** The paper's mechanism names (REFab, REFpb, DARP, SARPab, ...). */
-    std::string mechanismName() const;
-};
-
-/** Canonical mechanism configurations from Section 6. */
-RunConfig mechRefAb(Density d);
-RunConfig mechRefPb(Density d);
-RunConfig mechElastic(Density d);
-RunConfig mechDarp(Density d);
-RunConfig mechSarpAb(Density d);
-RunConfig mechSarpPb(Density d);
-RunConfig mechDsarp(Density d);
-RunConfig mechNoRef(Density d);
 
 /** Per-tenant figures of an open-loop (traffic) run. */
 struct TenantResult
@@ -185,10 +97,7 @@ class Runner
     Tick measureTicks() const { return measure_; }
     int workloadsPerCategory() const { return perCategory_; }
 
-    /** Simulate @p workload under @p cfg and compute all metrics. */
-    RunResult run(const RunConfig &cfg, const Workload &workload);
-
-    /** Same pipeline on a fully-specified SystemConfig. */
+    /** Simulate @p workload under @p sys and compute all metrics. */
     RunResult run(const SystemConfig &sys, const Workload &workload);
 
     /**
@@ -205,9 +114,6 @@ class Runner
      */
     RunResult runTraffic(const SystemConfig &sys);
 
-    /** Same, from a compact sweep point (cfg.traffic enabled). */
-    RunResult runTraffic(const RunConfig &cfg);
-
     /**
      * Single-core refresh-free IPC for a benchmark under the same
      * geometry, queues, and core model (used as the alone baseline for
@@ -215,11 +121,7 @@ class Runner
      * field the alone run depends on plus the run lengths, so Runner
      * instances (and Simulations) share baselines safely.
      */
-    double aloneIpc(int benchIdx, const RunConfig &cfg);
     double aloneIpc(int benchIdx, const SystemConfig &sys);
-
-    /** Build a SystemConfig from a RunConfig (public for tests). */
-    static SystemConfig makeSystemConfig(const RunConfig &cfg);
 
   private:
     Tick warmup_;

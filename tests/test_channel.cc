@@ -31,7 +31,7 @@ class ChannelTest : public ::testing::Test
     ChannelTest()
     {
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
     }
 
     Command

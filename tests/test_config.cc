@@ -26,10 +26,6 @@ TEST(Config, DensityRefreshLatency)
 
 TEST(Config, Names)
 {
-    EXPECT_STREQ(refreshModeName(RefreshMode::kAllBank), "REFab");
-    EXPECT_STREQ(refreshModeName(RefreshMode::kPerBank), "REFpb");
-    EXPECT_STREQ(refreshModeName(RefreshMode::kDarp), "DARP");
-    EXPECT_STREQ(refreshModeName(RefreshMode::kNoRefresh), "NoREF");
     EXPECT_STREQ(densityName(Density::k16Gb), "16Gb");
 }
 

@@ -11,6 +11,7 @@
 
 #include "controller/controller.hh"
 #include "dram/address.hh"
+#include "policy.hh"
 
 using namespace dsarp;
 
@@ -22,9 +23,9 @@ class ControllerTest : public ::testing::Test
     ControllerTest()
     {
         cfg_.org.channels = 1;
-        cfg_.refresh = RefreshMode::kNoRefresh;
+        selectPolicy(cfg_, "NoREF");
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         map_ = std::make_unique<AddressMap>(cfg_.org);
         rebuild();
     }
@@ -185,7 +186,7 @@ TEST_F(ControllerTest, QueueFullRejects)
 
 TEST_F(ControllerTest, UrgentRefreshBlocksNewActsToTargetBank)
 {
-    cfg_.refresh = RefreshMode::kPerBank;
+    selectPolicy(cfg_, "REFpb");
     rebuild();
     // Keep bank 0 of rank 0 under continuous load; once its refresh is
     // forced (credit exhausted), a refresh must still get through.
@@ -203,7 +204,7 @@ TEST_F(ControllerTest, UrgentRefreshBlocksNewActsToTargetBank)
 
 TEST_F(ControllerTest, RefreshSchedulerStatsExposed)
 {
-    cfg_.refresh = RefreshMode::kAllBank;
+    selectPolicy(cfg_, "REFab");
     rebuild();
     runTicks(static_cast<int>((4 * timing_.tRefiAb).count()));
     EXPECT_GT(ctl_->refreshStats().issued, 0u);

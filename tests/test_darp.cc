@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "mock_view.hh"
+#include "policy.hh"
 #include "refresh/darp.hh"
 
 using namespace dsarp;
@@ -19,9 +20,9 @@ class DarpTest : public ::testing::Test
   protected:
     DarpTest()
     {
-        cfg_.refresh = RefreshMode::kDarp;
+        selectPolicy(cfg_, "DARP");
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         view_ = std::make_unique<MockView>(&cfg_, &timing_);
         sched_ = std::make_unique<DarpScheduler>(&cfg_, &timing_,
                                                  view_.get());

@@ -21,7 +21,7 @@ timing()
 {
     MemConfig cfg;
     cfg.finalize();
-    return TimingParams::ddr3_1333(cfg);
+    return TimingParams::forConfig(cfg);
 }
 
 /** Timing + energy set of a registered spec at the default org. */

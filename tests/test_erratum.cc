@@ -14,6 +14,7 @@
 #include <map>
 
 #include "mock_view.hh"
+#include "policy.hh"
 #include "refresh/darp.hh"
 #include "sim/checker.hh"
 #include "sim/system.hh"
@@ -28,9 +29,9 @@ class ErratumTest : public ::testing::Test
   protected:
     ErratumTest()
     {
-        cfg_.refresh = RefreshMode::kDarp;
+        selectPolicy(cfg_, "DARP");
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         view_ = std::make_unique<MockView>(&cfg_, &timing_);
     }
 
@@ -119,8 +120,7 @@ TEST(ErratumEndToEnd, InterRefreshGapBoundedInFullSystem)
     cfg.numCores = 2;
     cfg.mem.org.channels = 1;
     cfg.mem.density = Density::k32Gb;
-    cfg.mem.refresh = RefreshMode::kDarp;
-    cfg.mem.sarp = true;
+    cfg.mem.policy = "DSARP";
     cfg.enableChecker = true;
     System sys(cfg, {benchmarkIndex("mcf-like"),
                      benchmarkIndex("stream-like")});
@@ -149,7 +149,7 @@ TEST(ErratumEndToEnd, PostponedAndPulledInBothOccur)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mem.refresh = RefreshMode::kDarp;
+    cfg.mem.policy = "DARP";
     System sys(cfg, {benchmarkIndex("mcf-like"),
                      benchmarkIndex("libquantum-like"),
                      benchmarkIndex("gcc-like"),

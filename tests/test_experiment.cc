@@ -10,8 +10,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <string>
 
+#include "sim/config_keys.hh"
 #include "sim/experiment.hh"
 #include "sim/simulation.hh"
 
@@ -168,6 +172,152 @@ TEST(ExperimentConfig, ToSystemConfigProjection)
     negative.writeHighWatermark = -5;
     const std::string err = negative.validate();
     EXPECT_NE(err.find("'writeHighWatermark'"), std::string::npos) << err;
+}
+
+namespace {
+
+/** Where one key's value must land: a probe over the config it was set
+ *  on and that config's projection. */
+using KeyProbe =
+    std::function<bool(const ExperimentConfig &, const SystemConfig &)>;
+
+/** A valid non-default value per key, and the probe that finds it. */
+struct KeyRow
+{
+    const char *value;
+    KeyProbe reached;
+};
+
+/** One row per key in keys::kAllKeys. A new key without a row here
+ *  fails EveryKeyReachesTheSystem. */
+const std::map<std::string, KeyRow> &
+keyRows()
+{
+    using E = ExperimentConfig;
+    using S = SystemConfig;
+    static const std::map<std::string, KeyRow> rows = {
+        {keys::kPolicy, {"SARPpb", [](const E &, const S &s) {
+             return s.mem.policy == "SARPpb"; }}},
+        {keys::kDramSpec, {"DDR4-2400", [](const E &, const S &s) {
+             return s.mem.dramSpec == "DDR4-2400"; }}},
+        {keys::kDensityGb, {"16", [](const E &, const S &s) {
+             return s.mem.density == Density::k16Gb; }}},
+        {keys::kRetentionMs, {"64", [](const E &, const S &s) {
+             return s.mem.retentionMs == 64; }}},
+        {keys::kSubarraysPerBank, {"16", [](const E &, const S &s) {
+             return s.mem.org.subarraysPerBank == 16; }}},
+        {keys::kChannels, {"4", [](const E &, const S &s) {
+             return s.mem.org.channels == 4; }}},
+        {keys::kAddressMap, {"row-ch", [](const E &, const S &s) {
+             return s.mem.addressMap == "row-ch"; }}},
+        {keys::kChannelStagger, {"-1", [](const E &, const S &s) {
+             return s.mem.channelStaggerCycles == -1; }}},
+        {keys::kRanksPerChannel, {"4", [](const E &, const S &s) {
+             return s.mem.org.ranksPerChannel == 4; }}},
+        {keys::kBanksPerRank, {"16", [](const E &, const S &s) {
+             return s.mem.org.banksPerRank == 16; }}},
+        {keys::kReadQueueSize, {"32", [](const E &, const S &s) {
+             return s.mem.readQueueSize == 32; }}},
+        {keys::kWriteQueueSize, {"48", [](const E &, const S &s) {
+             return s.mem.writeQueueSize == 48; }}},
+        {keys::kWriteHighWatermark, {"40", [](const E &, const S &s) {
+             return s.mem.writeHighWatermark == 40; }}},
+        {keys::kWriteLowWatermark, {"16", [](const E &, const S &s) {
+             return s.mem.writeLowWatermark == 16; }}},
+        {keys::kRefabStaggerDivisor, {"2", [](const E &, const S &s) {
+             return s.mem.refabStaggerDivisor == 2; }}},
+        {keys::kMaxOverlappedRefPb, {"3", [](const E &, const S &s) {
+             return s.mem.maxOverlappedRefPb == 3; }}},
+        {keys::kTFawOverride, {"20", [](const E &, const S &s) {
+             return s.mem.tFawOverride == 20; }}},
+        {keys::kTRrdOverride, {"4", [](const E &, const S &s) {
+             return s.mem.tRrdOverride == 4; }}},
+        {keys::kDarpWriteRefresh, {"false", [](const E &, const S &s) {
+             return !s.mem.darpWriteRefresh; }}},
+        {keys::kHiraCoverage, {"0.5", [](const E &, const S &s) {
+             return s.mem.hiraCoverage == 0.5; }}},
+        {keys::kHiraDelay, {"7", [](const E &, const S &s) {
+             return s.mem.hiraDelayCycles == 7; }}},
+        {keys::kSameBankGroupSize, {"2", [](const E &, const S &s) {
+             return s.mem.sameBankGroupSize == 2; }}},
+        {keys::kSameBankPullIn, {"false", [](const E &, const S &s) {
+             return !s.mem.sameBankPullIn; }}},
+        {keys::kSrIdleEntry, {"300", [](const E &, const S &s) {
+             return s.mem.srIdleEntryCycles == 300; }}},
+        {keys::kFgrRate, {"2", [](const E &, const S &s) {
+             return s.mem.fgrRate == 2; }}},
+        {keys::kSelfRefreshIdle, {"100", [](const E &, const S &s) {
+             return s.mem.selfRefreshIdleCycles == 100; }}},
+        {keys::kNumCores, {"2", [](const E &, const S &s) {
+             return s.numCores == 2; }}},
+        {keys::kSeed, {"9", [](const E &, const S &s) {
+             return s.seed == 9; }}},
+        {keys::kEnableChecker, {"true", [](const E &, const S &s) {
+             return s.enableChecker; }}},
+        // Run lengths and the workload mix are Simulation's, not the
+        // SystemConfig's: they stay on the ExperimentConfig.
+        {keys::kWarmupCycles, {"123", [](const E &e, const S &) {
+             return e.warmupCycles == 123; }}},
+        {keys::kMeasureCycles, {"456", [](const E &e, const S &) {
+             return e.measureCycles == 456; }}},
+        {keys::kWorkloadSeed, {"5", [](const E &e, const S &) {
+             return e.workloadSeed == 5; }}},
+        {keys::kIntensityPct, {"50", [](const E &e, const S &) {
+             return e.intensityPct == 50; }}},
+        {keys::kSimEngine, {"cycle", [](const E &, const S &s) {
+             return s.engine == "cycle"; }}},
+        {keys::kTrafficMode, {"poisson", [](const E &, const S &s) {
+             return s.traffic.mode == "poisson"; }}},
+        {keys::kTrafficRate, {"75", [](const E &, const S &s) {
+             return s.traffic.ratePerKilocycle == 75.0; }}},
+        {keys::kTrafficReadPct, {"50", [](const E &, const S &s) {
+             return s.traffic.readPct == 50; }}},
+        {keys::kTrafficHotRowPct, {"25", [](const E &, const S &s) {
+             return s.traffic.hotRowPct == 25.0; }}},
+        {keys::kTrafficHotRows, {"4", [](const E &, const S &s) {
+             return s.traffic.hotRows == 4; }}},
+        {keys::kTrafficBurstFactor, {"4", [](const E &, const S &s) {
+             return s.traffic.burstFactor == 4.0; }}},
+        {keys::kTrafficBurstLen, {"50", [](const E &, const S &s) {
+             return s.traffic.burstLenCycles == 50; }}},
+        {keys::kTrafficDiurnalPeriod, {"5000", [](const E &, const S &s) {
+             return s.traffic.diurnalPeriod == 5000; }}},
+        {keys::kTrafficDiurnalAmp, {"0.5", [](const E &, const S &s) {
+             return s.traffic.diurnalAmp == 0.5; }}},
+        {keys::kTrafficTrace, {"replay.trace", [](const E &, const S &s) {
+             return s.traffic.tracePath == "replay.trace"; }}},
+        {keys::kTenantCount, {"2", [](const E &, const S &s) {
+             return s.traffic.tenants == 2; }}},
+        {keys::kTenantPriorities, {"2,1", [](const E &, const S &s) {
+             return s.traffic.tenantPriorities == "2,1"; }}},
+    };
+    return rows;
+}
+
+} // namespace
+
+TEST(ExperimentConfig, EveryKeyReachesTheSystem)
+{
+    const ExperimentConfig defaults;
+    const SystemConfig default_sys = defaults.toSystemConfig();
+    for (const char *key : keys::kAllKeys) {
+        const auto row = keyRows().find(key);
+        ASSERT_NE(row, keyRows().end())
+            << "config key '" << key << "' has no row in keyRows()";
+        // The probe must tell the value apart from the default, or a
+        // key that never reaches the system would pass.
+        EXPECT_FALSE(row->second.reached(defaults, default_sys)) << key;
+
+        ExperimentConfig cfg;
+        ASSERT_EQ(cfg.trySet(key, row->second.value), "") << key;
+        EXPECT_TRUE(row->second.reached(cfg, cfg.toSystemConfig()))
+            << "config key '" << key << "' set to '" << row->second.value
+            << "' does not reach toSystemConfig()";
+    }
+    // No stale rows, and kAllKeys is the key table.
+    EXPECT_EQ(keyRows().size(), std::size(keys::kAllKeys));
+    EXPECT_EQ(ExperimentConfig::knownKeys().size(),
+              std::size(keys::kAllKeys));
 }
 
 TEST(ExperimentConfig, MechanismNameCanonicalises)

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "workload/workload.hh"
 
@@ -33,13 +34,13 @@ goldenRun(const std::string &spec, const std::string &policy,
           int banksPerRank = 8)
 {
     Runner runner(2000, 20000, 1);
-    RunConfig cfg;
-    cfg.density = Density::k32Gb;
+    ExperimentConfig cfg;
+    cfg.densityGb = 32;
     cfg.dramSpec = spec;
     cfg.policy = policy;
     cfg.seed = 1;
-    SystemConfig sys = Runner::makeSystemConfig(cfg);
-    sys.mem.org.banksPerRank = banksPerRank;
+    cfg.banksPerRank = banksPerRank;
+    const SystemConfig sys = cfg.toSystemConfig();
     const Workload w = makeWorkloads(1, 8, 1)[2];  // The 50% category.
     return runner.run(sys, w);
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "dram/channel.hh"
+#include "policy.hh"
 #include "refresh/hira.hh"
 #include "refresh/registry.hh"
 #include "sim/checker.hh"
@@ -440,8 +441,7 @@ TEST(HiraFgr, RateKeyScalesPerBankTimingWithNativeDivisors)
     MemConfig base;
     base.dramSpec = "DDR4-2400";
     base.density = Density::k8Gb;
-    base.refresh = RefreshMode::kDarp;
-    base.hira = true;
+    selectPolicy(base, "HiRA");
     base.finalize();
     const TimingParams t1 = TimingParams::forConfig(base);
 
@@ -504,7 +504,7 @@ TEST(HiraFgr, UnfittablePerBankScheduleDiesWithNamedKeys)
     MemConfig cfg;
     cfg.dramSpec = "DDR4-2400";
     cfg.density = Density::k32Gb;
-    cfg.refresh = RefreshMode::kDarp;
+    selectPolicy(cfg, "DARP");
     cfg.fgrRate = 4;
     cfg.org.rowsPerBank = rowsPerBankFor(cfg.density);
     EXPECT_DEATH(TimingParams::forConfig(cfg), "refresh.fgrRate");

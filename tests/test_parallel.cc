@@ -54,9 +54,9 @@ makePoints()
     for (const char *mech : mechs) {
         for (const Workload &w : workloads) {
             SweepPoint p;
-            p.cfg.policy = mech;
+            p.cfg.mem.policy = mech;
             p.cfg.numCores = 4;
-            p.cfg.density = Density::k16Gb;
+            p.cfg.mem.density = Density::k16Gb;
             p.workload = w;
             points.push_back(p);
         }
@@ -176,8 +176,8 @@ TEST(SweepRunner, ConfigPlusWorkloadsOverloadMatchesPointwise)
     // The bench_common shape -- one config, many workloads -- must be
     // sugar for the general point list, nothing more.
     const auto workloads = makeWorkloads(1, 4, 7);
-    RunConfig cfg;
-    cfg.policy = "DSARP";
+    SystemConfig cfg;
+    cfg.mem.policy = "DSARP";
     cfg.numCores = 4;
 
     std::vector<SweepPoint> points;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the experiment runner: mechanism presets, environment
- * knobs, alone-IPC caching, and metric plumbing.
+ * Unit tests for the experiment runner: environment knobs, alone-IPC
+ * caching, and metric plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -12,68 +12,6 @@
 #include "sim/runner.hh"
 
 using namespace dsarp;
-
-TEST(RunnerConfig, MechanismNames)
-{
-    EXPECT_EQ(mechRefAb(Density::k8Gb).mechanismName(), "REFab");
-    EXPECT_EQ(mechRefPb(Density::k8Gb).mechanismName(), "REFpb");
-    EXPECT_EQ(mechElastic(Density::k8Gb).mechanismName(), "Elastic");
-    EXPECT_EQ(mechDarp(Density::k8Gb).mechanismName(), "DARP");
-    EXPECT_EQ(mechSarpAb(Density::k8Gb).mechanismName(), "SARPab");
-    EXPECT_EQ(mechSarpPb(Density::k8Gb).mechanismName(), "SARPpb");
-    EXPECT_EQ(mechDsarp(Density::k8Gb).mechanismName(), "DSARP");
-    EXPECT_EQ(mechNoRef(Density::k8Gb).mechanismName(), "NoREF");
-}
-
-TEST(RunnerConfig, PresetsSetSarpFlags)
-{
-    EXPECT_FALSE(mechDarp(Density::k8Gb).sarp);
-    EXPECT_TRUE(mechSarpPb(Density::k8Gb).sarp);
-    EXPECT_TRUE(mechDsarp(Density::k8Gb).sarp);
-    EXPECT_EQ(mechDsarp(Density::k8Gb).refresh, RefreshMode::kDarp);
-    EXPECT_EQ(mechSarpAb(Density::k8Gb).refresh, RefreshMode::kAllBank);
-}
-
-TEST(RunnerConfig, MakeSystemConfigCopiesKnobs)
-{
-    RunConfig cfg = mechDsarp(Density::k16Gb);
-    cfg.subarraysPerBank = 32;
-    cfg.tFawOverride = 10;
-    cfg.numCores = 4;
-    cfg.retentionMs = 64;
-    const SystemConfig sys = Runner::makeSystemConfig(cfg);
-    EXPECT_EQ(sys.mem.density, Density::k16Gb);
-    EXPECT_EQ(sys.mem.org.subarraysPerBank, 32);
-    EXPECT_EQ(sys.mem.tFawOverride, 10);
-    EXPECT_EQ(sys.numCores, 4);
-    EXPECT_EQ(sys.mem.retentionMs, 64);
-    EXPECT_TRUE(sys.mem.sarp);
-}
-
-TEST(RunnerConfig, OptionalKnobsDefaultToMemConfig)
-{
-    const RunConfig cfg = mechRefPb(Density::k8Gb);
-    const SystemConfig sys = Runner::makeSystemConfig(cfg);
-    const MemConfig defaults;
-    EXPECT_EQ(sys.mem.writeHighWatermark, defaults.writeHighWatermark);
-    EXPECT_EQ(sys.mem.writeLowWatermark, defaults.writeLowWatermark);
-    EXPECT_EQ(sys.mem.refabStaggerDivisor, defaults.refabStaggerDivisor);
-    EXPECT_EQ(sys.mem.maxOverlappedRefPb, defaults.maxOverlappedRefPb);
-}
-
-TEST(RunnerConfig, OptionalKnobsOverrideWhenSet)
-{
-    RunConfig cfg = mechRefPb(Density::k8Gb);
-    cfg.writeHighWatermark = 48;
-    cfg.writeLowWatermark = 16;
-    cfg.refabStaggerDivisor = 2;
-    cfg.maxOverlappedRefPb = 4;
-    const SystemConfig sys = Runner::makeSystemConfig(cfg);
-    EXPECT_EQ(sys.mem.writeHighWatermark, 48);
-    EXPECT_EQ(sys.mem.writeLowWatermark, 16);
-    EXPECT_EQ(sys.mem.refabStaggerDivisor, 2);
-    EXPECT_EQ(sys.mem.maxOverlappedRefPb, 4);
-}
 
 TEST(RunnerConfig, EnvKnob)
 {
@@ -107,6 +45,16 @@ TEST(RunnerConfig, EnvKnobRejectsMalformedValues)
 
 namespace {
 
+/** A default system running the named refresh mechanism. */
+SystemConfig
+mech(const char *policy, Density d = Density::k8Gb)
+{
+    SystemConfig cfg;
+    cfg.mem.policy = policy;
+    cfg.mem.density = d;
+    return cfg;
+}
+
 /** Runner with short windows for fast tests. */
 class ShortRunner : public ::testing::Test
 {
@@ -137,14 +85,14 @@ TEST_F(ShortRunner, EnvControlsWindows)
 
 TEST_F(ShortRunner, AloneIpcCachedAndPositive)
 {
-    const RunConfig cfg = mechRefAb(Density::k8Gb);
+    const SystemConfig cfg = mech("REFab");
     const double a = runner_->aloneIpc(10, cfg);
     EXPECT_GT(a, 0.0);
     EXPECT_LE(a, 3.0);
     // Second call must be a cache hit with the identical value.
     EXPECT_DOUBLE_EQ(runner_->aloneIpc(10, cfg), a);
     // A different density is a different cache entry (footprints move).
-    const double b = runner_->aloneIpc(10, mechRefAb(Density::k32Gb));
+    const double b = runner_->aloneIpc(10, mech("REFab", Density::k32Gb));
     EXPECT_GT(b, 0.0);
 }
 
@@ -152,7 +100,7 @@ TEST_F(ShortRunner, RunProducesConsistentMetrics)
 {
     const auto workloads = makeIntensiveWorkloads(1, 8, 11);
     const RunResult res =
-        runner_->run(mechRefPb(Density::k8Gb), workloads[0]);
+        runner_->run(mech("REFpb"), workloads[0]);
     ASSERT_EQ(res.ipc.size(), 8u);
     ASSERT_EQ(res.aloneIpc.size(), 8u);
     EXPECT_GT(res.ws, 0.0);
@@ -168,8 +116,8 @@ TEST_F(ShortRunner, RunProducesConsistentMetrics)
 TEST_F(ShortRunner, DeterministicAcrossRuns)
 {
     const auto workloads = makeIntensiveWorkloads(1, 8, 13);
-    const RunResult a = runner_->run(mechDarp(Density::k8Gb), workloads[0]);
-    const RunResult b = runner_->run(mechDarp(Density::k8Gb), workloads[0]);
+    const RunResult a = runner_->run(mech("DARP"), workloads[0]);
+    const RunResult b = runner_->run(mech("DARP"), workloads[0]);
     EXPECT_DOUBLE_EQ(a.ws, b.ws);
     EXPECT_EQ(a.readsCompleted, b.readsCompleted);
 }

@@ -15,6 +15,7 @@
 
 #include "dram/spec.hh"
 #include "mock_view.hh"
+#include "policy.hh"
 #include "refresh/registry.hh"
 #include "refresh/same_bank.hh"
 #include "sim/checker.hh"
@@ -33,8 +34,7 @@ ddr5Config(int banks_per_rank = 8, int group_size = 0,
     cfg.dramSpec = "DDR5-4800";
     cfg.org.banksPerRank = banks_per_rank;
     cfg.sameBankGroupSize = group_size;
-    cfg.refresh = RefreshMode::kSameBank;
-    cfg.hira = hira;
+    selectPolicy(cfg, hira ? "HiRAsb" : "REFsb");
     cfg.finalize();
     return cfg;
 }
@@ -111,9 +111,9 @@ TEST(SameBankTiming, ZeroedOnSpecsWithoutSupport)
 TEST(SameBankTiming, FgrScalesSliceLatency)
 {
     MemConfig base = ddr5Config();
-    base.refresh = RefreshMode::kAllBank;
+    selectPolicy(base, "REFab");
     MemConfig fgr = base;
-    fgr.refresh = RefreshMode::kFgr2x;
+    selectPolicy(fgr, "FGR2x");
     const TimingParams t1 = TimingParams::forConfig(base);
     const TimingParams t2 = TimingParams::forConfig(fgr);
     EXPECT_LT(t2.tRfcSb, t1.tRfcSb);
@@ -123,7 +123,7 @@ TEST(SameBankTiming, FgrScalesSliceLatency)
 TEST(SameBankTiming, UnsupportedSpecFailsValidationWithNamedKey)
 {
     MemConfig cfg;
-    cfg.refresh = RefreshMode::kSameBank;  // On default DDR3-1333.
+    selectPolicy(cfg, "REFsb");  // On default DDR3-1333.
     const std::string errors = cfg.validate();
     EXPECT_NE(errors.find("bank-group"), std::string::npos);
 

@@ -13,6 +13,7 @@
 
 #include "common/rng.hh"
 #include "controller/scheduler.hh"
+#include "policy.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 
@@ -34,7 +35,7 @@ class FrFcfsTest : public ::testing::Test
         : cfg_(), timing_(), queue_(64, 2, 8)
     {
         cfg_.finalize();
-        timing_ = TimingParams::ddr3_1333(cfg_);
+        timing_ = TimingParams::forConfig(cfg_);
         channel_ = std::make_unique<Channel>(&cfg_, &timing_);
         noBlockBank_.assign(16, 0);
         noBlockRank_.assign(2, 0);
@@ -349,20 +350,20 @@ struct DiffCoverage
  * Replay @p num_states random states of a SARP channel with @p ranks x
  * @p banks banks at 32Gb (the longest tRFC, so refreshes overlap many
  * picks) through FrFcfs::pick and scanPick, which must agree exactly.
- * @p mode only sets the configured refresh mechanism: the channel is
- * driven by the picks themselves plus random REFpb/REFab/ACT/PRE
- * commands in any mode; the queues fill and drain at random
- * with requests concentrated on three subarrays so row hits, stranded
- * rows and subarray conflicts with a refreshing bank all recur.
+ * @p policy (a SARP mechanism) only sets the configured refresh
+ * mechanism: the channel is driven by the picks themselves plus random
+ * REFpb/REFab/ACT/PRE commands in any mode; the queues fill and drain
+ * at random with requests concentrated on three subarrays so row hits,
+ * stranded rows and subarray conflicts with a refreshing bank all
+ * recur.
  */
 DiffCoverage
-differentialRun(int ranks, int banks, RefreshMode mode, int num_states,
+differentialRun(int ranks, int banks, const char *policy, int num_states,
                 std::uint64_t seed)
 {
     MemConfig cfg;
     cfg.density = Density::k32Gb;
-    cfg.refresh = mode;
-    cfg.sarp = true;
+    selectPolicy(cfg, policy);
     cfg.org.ranksPerChannel = ranks;
     cfg.org.banksPerRank = banks;
     cfg.finalize();
@@ -479,7 +480,7 @@ differentialRun(int ranks, int banks, RefreshMode mode, int num_states,
 TEST(FrFcfsDifferential, MatchesQueueScanOnRandomStates)
 {
     // Two ranks of eight banks, the paper's geometry.
-    const DiffCoverage cov = differentialRun(2, 8, RefreshMode::kPerBank, 12000, 2024);
+    const DiffCoverage cov = differentialRun(2, 8, "SARPpb", 12000, 2024);
     if (HasFailure())
         return;
 
@@ -499,7 +500,7 @@ TEST(FrFcfsDifferential, MatchesQueueScanOverSixtyFourBanks)
     // At 80 banks tREFIpb falls below tRFCpb, so per-bank refresh is
     // not a valid configured mode; the test still issues REFpb.
     const DiffCoverage cov =
-        differentialRun(2, 80, RefreshMode::kAllBank, 12000, 2025);
+        differentialRun(2, 80, "SARPab", 12000, 2025);
     if (HasFailure())
         return;
 

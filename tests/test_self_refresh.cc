@@ -15,6 +15,7 @@
 
 #include "dram/channel.hh"
 #include "dram/spec.hh"
+#include "policy.hh"
 #include "refresh/ledger.hh"
 #include "sim/checker.hh"
 #include "sim/experiment.hh"
@@ -31,7 +32,7 @@ ddr3Timing()
 {
     MemConfig cfg;
     cfg.finalize();
-    return TimingParams::ddr3_1333(cfg);
+    return TimingParams::forConfig(cfg);
 }
 
 MemConfig
@@ -94,7 +95,7 @@ TEST(SelfRefreshTiming, FgrModeShortensExitLatency)
     const TimingParams t1 = TimingParams::forConfig(base);
 
     MemConfig fgr = base;
-    fgr.refresh = RefreshMode::kFgr2x;
+    selectPolicy(fgr, "FGR2x");
     const TimingParams t2 = TimingParams::forConfig(fgr);
     EXPECT_LT(t2.tXs, t1.tXs);
     EXPECT_EQ(t2.tXs, t1.tXsFgr);
@@ -463,11 +464,11 @@ TEST(SelfRefreshEndToEnd, DisabledKeyIsBitIdenticalToDefault)
     // of the PR-4 configuration untouched (the golden-baseline suite
     // pins the absolute values; this pins the equivalence).
     Runner runner(1000, 10000, 1);
-    RunConfig base;
-    base.density = Density::k32Gb;
-    base.policy = "REFab";
-    RunConfig off = base;
-    off.srIdleEntryCycles = 0;
+    SystemConfig base;
+    base.mem.density = Density::k32Gb;
+    base.mem.policy = "REFab";
+    SystemConfig off = base;
+    off.mem.srIdleEntryCycles = 0;
     const Workload w = makeWorkloads(1, 8, 1)[2];
     const RunResult a = runner.run(base, w);
     const RunResult b = runner.run(off, w);
@@ -488,12 +489,12 @@ TEST(SelfRefreshEndToEnd, NoFreeLunch)
     Runner runner(2000, 60000, 1);
     const Workload w = makeWorkloads(1, 2, 1)[0];  // 0%-intensive.
 
-    RunConfig base;
-    base.density = Density::k32Gb;
-    base.policy = "REFab";
+    SystemConfig base;
+    base.mem.density = Density::k32Gb;
+    base.mem.policy = "REFab";
     base.numCores = 2;
-    RunConfig sr = base;
-    sr.srIdleEntryCycles = 750;
+    SystemConfig sr = base;
+    sr.mem.srIdleEntryCycles = 750;
 
     const RunResult off = runner.run(base, w);
     const RunResult on = runner.run(sr, w);

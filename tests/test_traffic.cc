@@ -328,10 +328,11 @@ class TrafficRun : public ::testing::Test
         unsetenv("DSARP_BENCH_WARMUP");
     }
 
-    static RunConfig
+    static SystemConfig
     trafficPoint(const std::string &mode)
     {
-        RunConfig cfg = mechDsarp(Density::k8Gb);
+        SystemConfig cfg;
+        cfg.mem.policy = "DSARP";
         cfg.traffic.mode = mode;
         cfg.traffic.ratePerKilocycle = 60.0;
         cfg.traffic.hotRowPct = 30.0;
@@ -382,7 +383,7 @@ TEST_F(TrafficRun, PoissonRunReportsLatencyPercentiles)
 TEST_F(TrafficRun, CycleAndEventEnginesBitIdentical)
 {
     for (const char *mode : {"poisson", "bursty"}) {
-        RunConfig cfg = trafficPoint(mode);
+        SystemConfig cfg = trafficPoint(mode);
         cfg.engine = "cycle";
         const RunResult cycle = runner_->runTraffic(cfg);
         cfg.engine = "event";
@@ -396,9 +397,9 @@ TEST_F(TrafficRun, ShardedRunsBitIdenticalToSerial)
     // The same three points serially and under parallelFor sharding:
     // traffic seeding depends only on (seed, tenant), never on thread
     // assignment, so the results must match slot for slot.
-    std::vector<RunConfig> points;
+    std::vector<SystemConfig> points;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        RunConfig cfg = trafficPoint("poisson");
+        SystemConfig cfg = trafficPoint("poisson");
         cfg.seed = seed;
         points.push_back(cfg);
     }
@@ -415,7 +416,7 @@ TEST_F(TrafficRun, ShardedRunsBitIdenticalToSerial)
 
 TEST_F(TrafficRun, MultiTenantReportsFairness)
 {
-    RunConfig cfg = trafficPoint("poisson");
+    SystemConfig cfg = trafficPoint("poisson");
     cfg.traffic.tenants = 3;
     cfg.traffic.tenantPriorities = "4,2,1";
     const RunResult res = runner_->runTraffic(cfg);
@@ -447,7 +448,7 @@ TEST_F(TrafficRun, TraceModeDrivesSystem)
         testing::TempDir() + "dsarp_traffic_replay.txt";
     writeDramSimTrace(path, records);
 
-    RunConfig cfg = trafficPoint("trace");
+    SystemConfig cfg = trafficPoint("trace");
     cfg.traffic.tracePath = path;
     cfg.engine = "cycle";
     const RunResult res = runner_->runTraffic(cfg);
@@ -465,8 +466,9 @@ TEST_F(TrafficRun, ClosedLoopRunsStillPopulateLatencyHistogram)
     // Satellite: the per-controller histogram now surfaces on every
     // run path, not just traffic runs.
     const auto workloads = makeIntensiveWorkloads(1, 8, 5);
-    const RunResult res =
-        runner_->run(mechRefAb(Density::k8Gb), workloads[0]);
+    SystemConfig cfg;
+    cfg.mem.policy = "REFab";
+    const RunResult res = runner_->run(cfg, workloads[0]);
     EXPECT_GT(res.readLatency.count(), 0u);
     EXPECT_EQ(res.readLatency.count(), res.readsCompleted);
     EXPECT_GT(res.readLatency.percentile(99), 0.0);

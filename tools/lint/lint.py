@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lint for invariants the compiler cannot see.
 
-Five checks, each born from a real bug class in this codebase:
+Six checks, each born from a real bug class in this codebase:
 
 1. unit-honest-conversion -- no raw arithmetic against the clock
    period (``/ tCkNs`` or ``* tCkNs``) outside the two blessed
@@ -42,6 +42,14 @@ Five checks, each born from a real bug class in this codebase:
    DSARP_REGISTER_*`` registrar family under src/ is matched by this
    linter's REGISTRAR_RE (check 3).  A checker without a seed rots
    silently: the gate keeps passing after the check stops firing.
+
+6. policy-name-only -- no assignment to a MemConfig bundle output
+   (``.refresh``, ``.sarp``, ``.hira``) outside the refresh policies'
+   own translation units, src/refresh/*.cc.  A mechanism is selected
+   by name (MemConfig::policy); resolve() recomputes the outputs from
+   that name, so ``cfg.mem.sarp = true`` in a test or bench silently
+   runs REFab.  A line that writes them on purpose (the registry
+   test's stale start state) carries ``lint: allow(bundle-output)``.
 
 Exit status 0 when clean, 1 with findings (one ``file:line: message``
 per line), 2 on usage errors.  ``--self-test`` seeds one violation of
@@ -88,6 +96,11 @@ THREAD_SPAWN_TUS = {
 # or any std::async launch.
 THREAD_SPAWN_RE = re.compile(
     r"std::j?thread\b(?!\s*::)|std::async\b")
+
+# A write to a refresh-policy bundle output (see check 6); `==` is a
+# comparison, not a write.
+BUNDLE_OUTPUT_RE = re.compile(r"(?:\.|->)(?:refresh|sarp|hira)\s*=(?!=)")
+BUNDLE_OUTPUT_ALLOW = "lint: allow(bundle-output)"
 
 SOURCE_GLOBS = ("src/**/*.cc", "src/**/*.hh", "tests/*.cc",
                 "bench/*.cc", "bench/*.hh", "tools/*.cc",
@@ -199,6 +212,21 @@ def check_thread_spawns(root, findings):
                     "SweepRunner (the audited spawn point)")
 
 
+def check_bundle_outputs(root, findings):
+    for path in source_files(root):
+        rel = path.relative_to(root)
+        if rel.parent == Path("src/refresh") and rel.suffix == ".cc":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if COMMENT_RE.match(line) or BUNDLE_OUTPUT_ALLOW in line:
+                continue
+            if BUNDLE_OUTPUT_RE.search(line):
+                findings.append(
+                    f"{rel}:{lineno}: refresh-policy bundle output "
+                    "assigned outside src/refresh/*.cc; select the "
+                    "mechanism by name (MemConfig::policy)")
+
+
 ANALYZER_REL = Path("tools/analyze/dsarp_analyze.py")
 RULES_NAME_RE = re.compile(r'^\s*"([a-z][a-z-]*)"')
 REGISTRAR_DEFINE_RE = re.compile(r"#define\s+DSARP_REGISTER_(\w+)\s*\(")
@@ -266,6 +294,7 @@ def run_checks(root):
     check_registrars(root, findings)
     check_thread_spawns(root, findings)
     check_selftest_coverage(root, findings)
+    check_bundle_outputs(root, findings)
     return findings
 
 
@@ -311,12 +340,16 @@ def self_test():
         # 5c. A registrar family REGISTRAR_RE does not know about.
         (root / "src/sim/new_registry.hh").write_text(
             "#define DSARP_REGISTER_FROBNICATOR(ident, ...) x\n")
+        # 6. A mechanism selected by bundle output instead of by name.
+        (root / "tests/test_enum_select.cc").write_text(
+            "void f(SystemConfig &cfg) { cfg.mem.sarp = true; }\n")
 
         findings = run_checks(root)
         for needle in ("raw tCK arithmetic", "respelled",
                        "exactly one TU", "raw thread spawn",
                        "no SELF_TEST_SEEDS entry", "no seed corpus",
-                       "not covered by lint.py REGISTRAR_RE"):
+                       "not covered by lint.py REGISTRAR_RE",
+                       "bundle output assigned"):
             if not any(needle in f for f in findings):
                 failures.append(f"self-test: no finding matching "
                                 f"'{needle}' in {findings}")
@@ -356,6 +389,19 @@ def self_test():
         for f in run_checks(root):
             if "thread spawn" in f:
                 failures.append(f"self-test: exempt spawn flagged: {f}")
+
+        # Bundles, comparisons, and allow-marked lines stay clean.
+        (root / "tests/test_enum_select.cc").unlink()
+        (root / "src/refresh").mkdir(parents=True)
+        (root / "src/refresh/policy.cc").write_text(
+            "void b(MemConfig &m) { m.refresh = RefreshMode::kDarp; }\n")
+        (root / "tests/test_bundle.cc").write_text(
+            "bool on(const MemConfig &m) { return m.sarp == true; }\n"
+            "void s(MemConfig &m) { m.hira = 1; }"
+            "  // lint: allow(bundle-output)\n")
+        for f in run_checks(root):
+            if "bundle output" in f:
+                failures.append(f"self-test: exempt write flagged: {f}")
 
     # The real tree must currently be clean, or the lint gate is dead
     # on arrival.
