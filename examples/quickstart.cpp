@@ -25,11 +25,11 @@ main()
     // including ones registered by user code.
     for (const char *mech : {"REFab", "REFpb", "DSARP", "NoREF"}) {
         RunResult res = Simulation::builder()
-                            .policy(mech)
-                            .densityGb(32)
-                            .cores(8)
-                            .intensityPct(50)
-                            .workloadSeed(42)
+                            .config({.policy = mech,
+                                     .densityGb = 32,
+                                     .numCores = 8,
+                                     .workloadSeed = 42,
+                                     .intensityPct = 50})
                             .build()
                             .run();
         std::printf("%-8s %10.3f %10.1fnJ %14llu\n", mech, res.ws,

@@ -39,18 +39,15 @@ main()
         // Some mechanisms need device support the host's spec lacks
         // (same-bank refresh has no DDR3 command, for instance); a
         // probe validation skips those instead of dying mid-walk.
-        ExperimentConfig probe;
-        probe.policy = mech;
-        probe.densityGb = 32;
-        if (!probe.validate().empty()) {
+        const ExperimentConfig cfg{
+            .policy = mech, .densityGb = 32, .numCores = 8};
+        if (!cfg.validate().empty()) {
             std::printf("%-9s %s\n", mech.c_str(),
                         "(unsupported by this DRAM spec; skipped)");
             continue;
         }
         const RunResult res = Simulation::builder()
-                                  .policy(mech)
-                                  .densityGb(32)
-                                  .cores(8)
+                                  .config(cfg)
                                   .workload(workload)
                                   .build()
                                   .run();

@@ -26,10 +26,10 @@ wsOf(const char *mech, int density_gb, int subarrays,
      const Workload &workload)
 {
     return Simulation::builder()
-        .policy(mech)
-        .densityGb(density_gb)
-        .subarraysPerBank(subarrays)
-        .cores(8)
+        .config({.policy = mech,
+                 .densityGb = density_gb,
+                 .subarraysPerBank = subarrays,
+                 .numCores = 8})
         .workload(workload)
         .build()
         .run()

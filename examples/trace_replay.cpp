@@ -85,11 +85,11 @@ main()
         }
 
         const RunResult res = Simulation::builder()
-                                  .policy(mech)
-                                  .densityGb(32)
-                                  .cores(cores)
-                                  .warmupCycles(50000)
-                                  .measureCycles(200000)
+                                  .config({.policy = mech,
+                                           .densityGb = 32,
+                                           .numCores = cores,
+                                           .warmupCycles = 50000,
+                                           .measureCycles = 200000})
                                   .traces(sources)
                                   .build()
                                   .run();

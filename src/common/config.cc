@@ -122,6 +122,7 @@ MemConfig::validate() const
         fail("config key 'writeLowWatermark' must be >= 0 (got " +
              std::to_string(writeLowWatermark) + ")");
     }
+    atLeastOne(keys::kWriteHighWatermark, writeHighWatermark);
 
     if (retentionMs != 32 && retentionMs != 64) {
         fail("config key 'retentionMs' must be 32 or 64 (got " +
@@ -178,49 +179,10 @@ MemConfig::validate() const
                  "only be narrowed");
         }
     }
-    if (selfRefreshIdleCycles < 0) {
-        fail("config key 'energy.selfRefreshIdle' must be >= 0 cycles, "
-             "0 to disable the self-refresh energy state (got " +
-             std::to_string(selfRefreshIdleCycles) + ")");
-    }
     if (srIdleEntryCycles < 0) {
         fail("config key 'refresh.selfRefresh.idleEntry' must be >= 0 "
              "cycles, 0 to disable command-level self-refresh (got " +
              std::to_string(srIdleEntryCycles) + ")");
-    }
-    if (srIdleEntryCycles > 0 && selfRefreshIdleCycles > 0) {
-        fail("config keys 'refresh.selfRefresh.idleEntry' and "
-             "'energy.selfRefreshIdle' are mutually exclusive: the "
-             "command-level protocol already bills IDD6 from real "
-             "self-refresh residency");
-    }
-    if (selfRefreshIdleCycles > 0 && refresh != RefreshMode::kNoRefresh) {
-        // The legacy accounting-only state must not be configured past
-        // the point where its claim becomes one the device cannot
-        // honour: beyond one tREFIab the rank would sit in the IDD6
-        // state across the external refresh commands the schedule
-        // keeps issuing (and before the demand/refresh activity split
-        // such thresholds silently never fired at all). Long
-        // self-refresh residency belongs to the command-level
-        // protocol.
-        if (const DramSpec *spec =
-                DramSpecRegistry::instance().find(dramSpec)) {
-            const Cycles trefi_cycles = TimingParams::nsToCyclesFloor(
-                Nanoseconds(retentionMs * 1e6 /
-                            spec->refreshesPerRetention),
-                spec->tCkNs);
-            if (selfRefreshIdleCycles > trefi_cycles.count()) {
-                fail("config key 'energy.selfRefreshIdle' (" +
-                     std::to_string(selfRefreshIdleCycles) + ") exceeds "
-                     "tREFIab (~" +
-                     std::to_string(trefi_cycles.count()) +
-                     " cycles) of DRAM spec '" + spec->name + "'; the "
-                     "energy-only state cannot outlast the external "
-                     "refresh schedule -- use "
-                     "'refresh.selfRefresh.idleEntry' for command-level "
-                     "self-refresh");
-            }
-        }
     }
     if (fgrRate != 0 && fgrRate != 1 && fgrRate != 2 && fgrRate != 4) {
         fail("config key 'refresh.fgrRate' must be 0 (profile default), "
@@ -422,28 +384,44 @@ TrafficConfig::priorityList() const
     return out;
 }
 
-void
-SystemConfig::finalize()
+std::string
+SystemConfig::validate() const
 {
-    if (numCores < 1)
-        DSARP_FATALF("config key 'numCores' must be >= 1 (got %d)",
-                     numCores);
+    std::ostringstream bad;
+    const char *sep = "";
+    auto fail = [&](const std::string &msg) {
+        bad << sep << msg;
+        sep = "; ";
+    };
+    if (numCores < 1) {
+        fail(std::string("config key '") + keys::kNumCores +
+             "' must be >= 1 (got " + std::to_string(numCores) + ")");
+    }
     if (engine != "cycle" && engine != "event") {
-        DSARP_FATALF("config key 'sim.engine' must be \"cycle\" or "
-                     "\"event\" (got \"%s\")",
-                     engine.c_str());
+        fail(std::string("config key '") + keys::kSimEngine +
+             "' must be \"cycle\" or \"event\" (got \"" + engine + "\")");
     }
     if (core.cpuCyclesPerTick < 1 || core.windowSize < 1 ||
         core.retireWidth < 1 || core.mshrs < 1) {
-        DSARP_FATALF("config keys 'core.cpuCyclesPerTick'/'core."
-                     "windowSize'/'core.retireWidth'/'core.mshrs' must "
-                     "all be >= 1 (got %d/%d/%d/%d)",
-                     core.cpuCyclesPerTick, core.windowSize,
-                     core.retireWidth, core.mshrs);
+        fail("config keys 'core.cpuCyclesPerTick'/'core.windowSize'/"
+             "'core.retireWidth'/'core.mshrs' must all be >= 1 (got " +
+             std::to_string(core.cpuCyclesPerTick) + "/" +
+             std::to_string(core.windowSize) + "/" +
+             std::to_string(core.retireWidth) + "/" +
+             std::to_string(core.mshrs) + ")");
     }
     const std::string trafficErrors = traffic.validate();
     if (!trafficErrors.empty())
-        DSARP_FATALF("invalid TrafficConfig: %s", trafficErrors.c_str());
+        fail(trafficErrors);
+    return bad.str();
+}
+
+void
+SystemConfig::finalize()
+{
+    const std::string errors = validate();
+    if (!errors.empty())
+        DSARP_FATALF("invalid SystemConfig: %s", errors.c_str());
     mem.finalize();
 }
 

@@ -198,8 +198,6 @@ struct MemConfig
      * the controller issues SRX (no earlier than tCKESR after entry)
      * and the first command is charged the full tXS exit latency.
      * 0 disables the protocol entirely (bit-identical behaviour).
-     * This supersedes the accounting-only "energy.selfRefreshIdle"
-     * state below; the two are mutually exclusive.
      */
     int srIdleEntryCycles = 0;
 
@@ -213,24 +211,6 @@ struct MemConfig
      * covers proportionally fewer rows.
      */
     int fgrRate = 0;
-
-    /**
-     * Energy-model self-refresh state (config key
-     * "energy.selfRefreshIdle"): after this many consecutive
-     * demand-idle DRAM cycles a rank is billed the spec's IDD6
-     * self-refresh current instead of IDD2N precharge standby.
-     * 0 disables the state, which keeps every pre-existing energy
-     * number bit-identical. This is an energy accounting state only --
-     * the command protocol (and the external refresh schedule) is not
-     * altered.
-     *
-     * @deprecated Use the command-level protocol
-     * (refresh.selfRefresh.idleEntry) instead: this state grants IDD6
-     * savings with zero performance cost. Thresholds above tREFIab
-     * are rejected at validation (before the demand/refresh activity
-     * split they could silently never fire).
-     */
-    int selfRefreshIdleCycles = 0;
 
     /**
      * Enable DARP's second component (write-refresh parallelization).
@@ -410,8 +390,16 @@ struct SystemConfig
      */
     std::string engine = "event";
 
-    /** Validate core/system keys, then the memory config; a fatal
-     *  named-key error on inconsistent values. */
+    /**
+     * Check the system-level keys (cores, engine, core model) and the
+     * traffic front end. Returns "" when valid, otherwise a
+     * ';'-separated list of errors naming each key. The memory config
+     * is MemConfig::validate()'s.
+     */
+    std::string validate() const;
+
+    /** validate(), then finalize the memory config; a fatal named-key
+     *  error on inconsistent values. */
     void finalize();
 };
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <string>
+#include <string_view>
 
 namespace dsarp {
 
@@ -21,6 +22,16 @@ lowered(const std::string &s)
         return static_cast<char>(std::tolower(c));
     });
     return out;
+}
+
+/** ASCII case-insensitive equality, without lowered()'s copies. */
+inline bool
+equalsIgnoreCase(std::string_view a, std::string_view b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](unsigned char x, unsigned char y) {
+                          return std::tolower(x) == std::tolower(y);
+                      });
 }
 
 /** Copy of @p s without leading/trailing whitespace. */

@@ -7,13 +7,12 @@
 namespace dsarp {
 
 Channel::Channel(const MemConfig *cfg, const TimingParams *timing)
-    : cfg_(cfg), timing_(timing)
+    : timing_(timing)
 {
     ranks_.reserve(cfg->org.ranksPerChannel);
     for (int r = 0; r < cfg->org.ranksPerChannel; ++r)
         ranks_.emplace_back(cfg, timing);
     wrDataEnd_.assign(cfg->org.ranksPerChannel, 0);
-    lastDemandActiveAt_.assign(cfg->org.ranksPerChannel, 0);
 }
 
 Tick
@@ -91,8 +90,6 @@ Channel::issue(const Command &cmd, Tick now)
 {
     DSARP_ASSERT(canIssue(cmd, now), "issuing illegal command");
     Rank &rk = ranks_[cmd.rank];
-    if (!isRefreshCmd(cmd.type) && !isSelfRefreshCmd(cmd.type))
-        lastDemandActiveAt_[cmd.rank] = now;
     switch (cmd.type) {
       case CommandType::kAct:
         rk.bank(cmd.bank).onAct(now, cmd.row, cmd.subarray);
@@ -187,14 +184,9 @@ Channel::nextActivityChange(Tick now) const
         if (t > now && t < next)
             next = t;
     };
-    for (RankId r = 0; r < numRanks(); ++r) {
-        // Refresh ends move isActive() and the masked refresh counts.
+    // Refresh ends move isActive().
+    for (RankId r = 0; r < numRanks(); ++r)
         add(ranks_[r].nextRefreshEnd(now));
-        if (cfg_->selfRefreshIdleCycles > 0) {
-            add(lastDemandActiveAt_[r] +
-                static_cast<Tick>(cfg_->selfRefreshIdleCycles));
-        }
-    }
     return next;
 }
 
@@ -213,20 +205,6 @@ Channel::sampleActivitySpan(Tick firstTick, Tick ticks)
             continue;
         }
 
-        if (cfg_->selfRefreshIdleCycles > 0 &&
-            firstTick - lastDemandActiveAt_[r] >=
-                static_cast<Tick>(cfg_->selfRefreshIdleCycles) &&
-            !rk.hasOpenRow()) {
-            stats_.rankSelfRefTicks += ticks;
-            if (rk.refAbInFlight(firstTick))
-                stats_.refAbCyclesSrMasked += ticks;
-            stats_.refPbCyclesSrMasked +=
-                ticks * static_cast<std::uint64_t>(rk.refPbCount(firstTick));
-            if (rk.refSbInFlight(firstTick))
-                stats_.refSbCyclesSrMasked += ticks;
-            continue;
-        }
-
         if (rk.isActive(firstTick))
             stats_.rankActiveTicks += ticks;
     }
@@ -242,32 +220,6 @@ Channel::sampleActivity(Tick now)
         // Command-level self-refresh: real residency, billed IDD6.
         if (rk.inSelfRefresh(now)) {
             ++stats_.srTicks;
-            continue;
-        }
-
-        // Legacy energy-model self-refresh state: a rank past the
-        // demand-idle threshold is billed IDD6 instead of IDD2N.
-        // The clock is *demand* activity only -- a refresh in flight
-        // must not reset it (under any enabled schedule a rank
-        // refreshes at least once per tREFI, so a refresh-reset clock
-        // could never cross a threshold above that). Accounting only:
-        // commands and the external refresh schedule are unchanged.
-        if (cfg_->selfRefreshIdleCycles > 0 &&
-            now - lastDemandActiveAt_[r] >=
-                static_cast<Tick>(cfg_->selfRefreshIdleCycles) &&
-            !rk.hasOpenRow()) {
-            ++stats_.rankSelfRefTicks;
-            // External refresh bursts landing inside the IDD6 window
-            // are what the state's current already prices: record
-            // their in-flight ticks so the energy model does not bill
-            // the burst premium on top (per kind -- the per-cycle
-            // currents differ).
-            if (rk.refAbInFlight(now))
-                ++stats_.refAbCyclesSrMasked;
-            stats_.refPbCyclesSrMasked +=
-                static_cast<std::uint64_t>(rk.refPbCount(now));
-            if (rk.refSbInFlight(now))
-                ++stats_.refSbCyclesSrMasked;
             continue;
         }
 

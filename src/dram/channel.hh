@@ -42,27 +42,6 @@ struct ChannelStats
     /** Rank-ticks with an open row or refresh in flight (background pwr). */
     std::uint64_t rankActiveTicks = 0;
     std::uint64_t rankTotalTicks = 0;
-    /**
-     * Rank-ticks billed at the IDD6 self-refresh current under the
-     * legacy accounting-only state: demand-idle past the
-     * MemConfig::selfRefreshIdleCycles threshold with no bank open (a
-     * refresh in flight no longer resets the clock -- it is not
-     * demand activity). Always 0 when the knob is disabled, keeping
-     * legacy energy numbers bit-identical.
-     */
-    std::uint64_t rankSelfRefTicks = 0;
-
-    /**
-     * Refresh cycles that elapsed while their rank qualified for the
-     * legacy IDD6 state (per command kind, counted per in-flight
-     * tick). The energy model subtracts these from the burst billing:
-     * IDD6 already prices the refresh work, so charging the external
-     * burst on top would bill the same ticks twice.
-     */
-    std::uint64_t refAbCyclesSrMasked = 0;
-    std::uint64_t refPbCyclesSrMasked = 0;
-    std::uint64_t refSbCyclesSrMasked = 0;
-
     /** @name Command-level self-refresh protocol (SRE/SRX). */
     /// @{
     std::uint64_t srEnter = 0;  ///< SRE commands issued.
@@ -128,9 +107,8 @@ class Channel
     /**
      * Earliest tick after @p now at which sampleActivity() can classify
      * some rank differently without a command issuing: the end of an
-     * in-flight refresh, or a rank crossing the legacy IDD6 idle
-     * threshold (kTickNever when neither is pending). The event engine
-     * wakes there so sampleActivitySpan() sees a constant span.
+     * in-flight refresh (kTickNever when none is pending). The event
+     * engine wakes there so sampleActivitySpan() sees a constant span.
      */
     Tick nextActivityChange(Tick now) const;
 
@@ -164,7 +142,6 @@ class Channel
      *  bus free for rank @p r (tRTRS on a rank switch). */
     Tick busFreeFor(RankId r, Cycles lead) const;
 
-    const MemConfig *cfg_;
     const TimingParams *timing_;
     std::vector<Rank> ranks_;
 
@@ -172,16 +149,6 @@ class Channel
     RankId lastBurstRank_ = kNone;
     Tick lastRdCmdAt_ = kTickNever;
     std::vector<Tick> wrDataEnd_;  ///< Per-rank last write-data end (tWTR).
-
-    /**
-     * Per-rank tick of the last *demand* command (ACT/RD/WR/PRE).
-     * Refresh commands deliberately do not update it: under any
-     * enabled refresh schedule a rank sees a refresh at least every
-     * tREFI, so a clock reset by refresh activity could never cross a
-     * threshold above it -- the idle-detection bug that kept the
-     * self-refresh energy state from ever firing.
-     */
-    std::vector<Tick> lastDemandActiveAt_;
 
     RefreshSpanCallback refreshSpanCb_;
 

@@ -305,16 +305,6 @@ Rank::isActive(Tick now) const
     return false;
 }
 
-bool
-Rank::hasOpenRow() const
-{
-    for (const Bank &b : banks_) {
-        if (b.isOpen())
-            return true;
-    }
-    return false;
-}
-
 Tick
 Rank::nextRefreshEnd(Tick now) const
 {

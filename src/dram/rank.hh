@@ -172,9 +172,6 @@ class Rank
     /** Any bank active (open row) or refreshing; drives background power. */
     bool isActive(Tick now) const;
 
-    /** Any bank with an open row (demand activity, refresh excluded). */
-    bool hasOpenRow() const;
-
     /** End tick of the oldest refresh in flight after @p now
      *  (kTickNever when none). */
     Tick nextRefreshEnd(Tick now) const;

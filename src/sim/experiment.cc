@@ -1,13 +1,13 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <sstream>
+#include <type_traits>
 
 #include "common/log.hh"
-#include "sim/config_keys.hh"
 #include "common/strings.hh"
 #include "dram/spec.hh"
 #include "refresh/registry.hh"
@@ -16,16 +16,8 @@ namespace dsarp {
 
 namespace {
 
-/** One settable field: its canonical key and a string-form setter that
- *  returns "" or a value-error description. */
-struct KeyDesc
-{
-    const char *key;
-    std::function<std::string(ExperimentConfig &, const std::string &)> set;
-};
-
 std::string
-parseInt(const std::string &value, int &out)
+parse(keytype::Int, const std::string &value, int &out, const char *)
 {
     try {
         std::size_t pos = 0;
@@ -40,7 +32,14 @@ parseInt(const std::string &value, int &out)
 }
 
 std::string
-parseU64(const std::string &value, std::uint64_t &out)
+parse(keytype::Gb, const std::string &value, int &out, const char *doc)
+{
+    return parse(keytype::Int{}, value, out, doc);
+}
+
+std::string
+parse(keytype::U64, const std::string &value, std::uint64_t &out,
+      const char *)
 {
     try {
         std::size_t pos = 0;
@@ -55,7 +54,7 @@ parseU64(const std::string &value, std::uint64_t &out)
 }
 
 std::string
-parseDouble(const std::string &value, double &out)
+parse(keytype::Real, const std::string &value, double &out, const char *)
 {
     try {
         std::size_t pos = 0;
@@ -70,7 +69,7 @@ parseDouble(const std::string &value, double &out)
 }
 
 std::string
-parseBool(const std::string &value, bool &out)
+parse(keytype::Bool, const std::string &value, bool &out, const char *)
 {
     const std::string v = lowered(value);
     if (v == "1" || v == "true" || v == "yes" || v == "on") {
@@ -84,172 +83,92 @@ parseBool(const std::string &value, bool &out)
     return "expected a boolean (true/false/1/0), got '" + value + "'";
 }
 
-KeyDesc
-intKey(const char *key, int ExperimentConfig::*field)
+/** A Name key's doc line says what it names ("a DRAM spec name ..."). */
+std::string
+parse(keytype::Name, const std::string &value, std::string &out,
+      const char *doc)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseInt(v, cfg.*field);
-            }};
+    if (value.empty())
+        return std::string("expected ") + doc;
+    out = value;
+    return "";
 }
 
-KeyDesc
-u64Key(const char *key, std::uint64_t ExperimentConfig::*field)
+std::string
+parse(keytype::Lower, const std::string &value, std::string &out,
+      const char *doc)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseU64(v, cfg.*field);
-            }};
+    return parse(keytype::Name{}, lowered(value), out, doc);
 }
 
-KeyDesc
-doubleKey(const char *key, double ExperimentConfig::*field)
+std::string
+parse(keytype::Text, const std::string &value, std::string &out,
+      const char *)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseDouble(v, cfg.*field);
-            }};
+    out = value;
+    return "";
 }
 
-KeyDesc
-boolKey(const char *key, bool ExperimentConfig::*field)
+/** The --list-keys text of a default value. */
+template <typename T>
+std::string
+show(const T &v)
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseBool(v, cfg.*field);
-            }};
+    if constexpr (std::is_same_v<T, bool>) {
+        return v ? "true" : "false";
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return v.empty() ? "\"\"" : v;
+    } else {
+        std::ostringstream out;
+        out << v;
+        return out.str();
+    }
 }
 
-KeyDesc
-trafficIntKey(const char *key, int TrafficConfig::*field)
+/** One key of the list: its text, and its field's parser and printer
+ *  (plain function pointers, so a lookup walks a flat array). */
+struct KeyRow
 {
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseInt(v, cfg.traffic.*field);
-            }};
-}
+    const char *key;
+    const char *type;
+    const char *doc;
+    std::string (*set)(ExperimentConfig &, const std::string &);
+    std::string (*show)(const ExperimentConfig &);
+};
 
-KeyDesc
-trafficDoubleKey(const char *key, double TrafficConfig::*field)
-{
-    return {key, [field](ExperimentConfig &cfg, const std::string &v) {
-                return parseDouble(v, cfg.traffic.*field);
-            }};
-}
+#define DSARP_KEY_ROW(key, Type, field, doc)                              \
+    {key, keytype::Type::kName, doc,                                      \
+     [](ExperimentConfig &cfg, const std::string &v) {                    \
+         return parse(keytype::Type{}, v, cfg.field, doc);                \
+     },                                                                   \
+     [](const ExperimentConfig &cfg) { return show(cfg.field); }},
+#define DSARP_ROW_SYS(constant, key, Type, field, path, doc) \
+    DSARP_KEY_ROW(key, Type, field, doc)
+#define DSARP_ROW_TRAFFIC(constant, key, Type, member, doc) \
+    DSARP_KEY_ROW(key, Type, traffic.member, doc)
+#define DSARP_ROW_RUN(constant, key, Type, field, init, doc) \
+    DSARP_KEY_ROW(key, Type, field, doc)
 
-const std::vector<KeyDesc> &
-keyTable()
-{
-    static const std::vector<KeyDesc> table = {
-        {keys::kPolicy,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a refresh mechanism name";
-             cfg.policy = v;
-             return "";
-         }},
-        {keys::kDramSpec,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a DRAM spec name";
-             cfg.dramSpec = v;
-             return "";
-         }},
-        {keys::kAddressMap,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected an address map name";
-             cfg.addressMap = v;
-             return "";
-         }},
-        intKey(keys::kDensityGb, &ExperimentConfig::densityGb),
-        intKey(keys::kRetentionMs, &ExperimentConfig::retentionMs),
-        intKey(keys::kSubarraysPerBank, &ExperimentConfig::subarraysPerBank),
-        intKey(keys::kChannels, &ExperimentConfig::channels),
-        intKey(keys::kRanksPerChannel, &ExperimentConfig::ranksPerChannel),
-        intKey(keys::kBanksPerRank, &ExperimentConfig::banksPerRank),
-        intKey(keys::kReadQueueSize, &ExperimentConfig::readQueueSize),
-        intKey(keys::kWriteQueueSize, &ExperimentConfig::writeQueueSize),
-        intKey(keys::kWriteHighWatermark, &ExperimentConfig::writeHighWatermark),
-        intKey(keys::kWriteLowWatermark, &ExperimentConfig::writeLowWatermark),
-        intKey(keys::kRefabStaggerDivisor,
-               &ExperimentConfig::refabStaggerDivisor),
-        intKey(keys::kMaxOverlappedRefPb, &ExperimentConfig::maxOverlappedRefPb),
-        intKey(keys::kTFawOverride, &ExperimentConfig::tFawOverride),
-        intKey(keys::kTRrdOverride, &ExperimentConfig::tRrdOverride),
-        boolKey(keys::kDarpWriteRefresh, &ExperimentConfig::darpWriteRefresh),
-        doubleKey(keys::kHiraCoverage, &ExperimentConfig::hiraCoverage),
-        intKey(keys::kHiraDelay, &ExperimentConfig::hiraDelay),
-        intKey(keys::kSameBankGroupSize,
-               &ExperimentConfig::sameBankGroupSize),
-        boolKey(keys::kSameBankPullIn,
-                &ExperimentConfig::sameBankPullIn),
-        intKey(keys::kSrIdleEntry,
-               &ExperimentConfig::srIdleEntry),
-        intKey(keys::kFgrRate, &ExperimentConfig::fgrRate),
-        intKey(keys::kChannelStagger, &ExperimentConfig::channelStagger),
-        intKey(keys::kSelfRefreshIdle,
-               &ExperimentConfig::selfRefreshIdle),
-        intKey(keys::kNumCores, &ExperimentConfig::numCores),
-        u64Key(keys::kSeed, &ExperimentConfig::seed),
-        boolKey(keys::kEnableChecker, &ExperimentConfig::enableChecker),
-        u64Key(keys::kWarmupCycles, &ExperimentConfig::warmupCycles),
-        u64Key(keys::kMeasureCycles, &ExperimentConfig::measureCycles),
-        u64Key(keys::kWorkloadSeed, &ExperimentConfig::workloadSeed),
-        intKey(keys::kIntensityPct, &ExperimentConfig::intensityPct),
-        {keys::kSimEngine,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a simulation engine name";
-             cfg.engine = v;
-             return "";
-         }},
-        {keys::kTrafficMode,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected an arrival-process name "
-                        "(off/poisson/bursty/diurnal/trace)";
-             cfg.traffic.mode = lowered(v);
-             return "";
-         }},
-        trafficDoubleKey(keys::kTrafficRate,
-                         &TrafficConfig::ratePerKilocycle),
-        trafficIntKey(keys::kTrafficReadPct, &TrafficConfig::readPct),
-        trafficDoubleKey(keys::kTrafficHotRowPct,
-                         &TrafficConfig::hotRowPct),
-        trafficIntKey(keys::kTrafficHotRows, &TrafficConfig::hotRows),
-        trafficDoubleKey(keys::kTrafficBurstFactor,
-                         &TrafficConfig::burstFactor),
-        trafficIntKey(keys::kTrafficBurstLen,
-                      &TrafficConfig::burstLenCycles),
-        trafficIntKey(keys::kTrafficDiurnalPeriod,
-                      &TrafficConfig::diurnalPeriod),
-        trafficDoubleKey(keys::kTrafficDiurnalAmp,
-                         &TrafficConfig::diurnalAmp),
-        {keys::kTrafficTrace,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             if (v.empty())
-                 return "expected a DRAMSim-style trace file path";
-             cfg.traffic.tracePath = v;
-             return "";
-         }},
-        trafficIntKey(keys::kTenantCount, &TrafficConfig::tenants),
-        {keys::kTenantPriorities,
-         [](ExperimentConfig &cfg, const std::string &v) -> std::string {
-             cfg.traffic.tenantPriorities = v;
-             return "";
-         }},
-    };
-    return table;
-}
+const KeyRow kRows[] = {
+    DSARP_CONFIG_KEYS(DSARP_ROW_SYS, DSARP_ROW_TRAFFIC, DSARP_ROW_RUN)};
+
+#undef DSARP_KEY_ROW
+#undef DSARP_ROW_SYS
+#undef DSARP_ROW_TRAFFIC
+#undef DSARP_ROW_RUN
 
 } // namespace
 
 std::string
 ExperimentConfig::trySet(const std::string &key, const std::string &value)
 {
-    const std::string wanted = lowered(trimmed(key));
-    for (const KeyDesc &desc : keyTable()) {
-        if (lowered(desc.key) != wanted)
+    const std::string wanted = trimmed(key);
+    for (const KeyRow &row : kRows) {
+        if (!equalsIgnoreCase(row.key, wanted))
             continue;
-        std::string err = desc.set(*this, trimmed(value));
+        std::string err = row.set(*this, trimmed(value));
         if (!err.empty())
-            err = "config key '" + std::string(desc.key) + "': " + err;
+            err = "config key '" + std::string(row.key) + "': " + err;
         return err;
     }
     std::ostringstream msg;
@@ -338,11 +257,28 @@ std::vector<std::string>
 ExperimentConfig::knownKeys()
 {
     std::vector<std::string> out;
-    out.reserve(keyTable().size());
-    for (const KeyDesc &desc : keyTable())
-        out.push_back(desc.key);
+    for (const KeyRow &row : kRows)
+        out.push_back(row.key);
     std::sort(out.begin(), out.end());
     return out;
+}
+
+std::string
+ExperimentConfig::keyListing()
+{
+    const ExperimentConfig defaults;
+    std::vector<std::string> lines;
+    for (const KeyRow &row : kRows) {
+        char head[96];
+        std::snprintf(head, sizeof(head), "%-30s %-6s %-10s ", row.key,
+                      row.type, row.show(defaults).c_str());
+        lines.push_back(head + std::string(row.doc) + "\n");
+    }
+    std::sort(lines.begin(), lines.end());
+    std::ostringstream out;
+    for (const std::string &line : lines)
+        out << line;
+    return out.str();
 }
 
 std::string
@@ -372,40 +308,17 @@ ExperimentConfig::validate() const
              "' must be one of 0/25/50/75/100 (got " +
              std::to_string(intensityPct) + ")");
     }
-    if (numCores < 1) {
-        fail(std::string("config key '") + keys::kNumCores +
-             "' must be >= 1 (got " + std::to_string(numCores) + ")");
-    }
-    if (engine != "cycle" && engine != "event") {
-        fail(std::string("config key '") + keys::kSimEngine +
-             "' must be \"cycle\" or \"event\" (got \"" + engine + "\")");
-    }
-    // -1 means "keep the MemConfig default"; anything else must be an
-    // explicit (non-negative) value so a bad override never silently
-    // falls back to the default.
-    auto explicitOrDefault = [&](const char *key, int v) {
-        if (v < -1) {
-            fail(std::string("config key '") + key + "' must be >= 0, "
-                 "or -1 for the default (got " + std::to_string(v) + ")");
-        }
-    };
-    explicitOrDefault(keys::kWriteHighWatermark, writeHighWatermark);
-    explicitOrDefault(keys::kWriteLowWatermark, writeLowWatermark);
-    explicitOrDefault(keys::kRefabStaggerDivisor, refabStaggerDivisor);
-    explicitOrDefault(keys::kMaxOverlappedRefPb, maxOverlappedRefPb);
-    const std::string trafficErrors = traffic.validate();
-    if (!trafficErrors.empty())
-        fail(trafficErrors);
-    // refresh.hiraCoverage / refresh.hiraDelay are checked by the
-    // delegated MemConfig::validate() below, like the other mem keys.
-
-    // Delegate the memory-system cross-checks; their messages already
-    // name keys. rowsPerBank must be applied first, as finalize()
-    // would, and the policy's config bundle resolved so checks that
-    // depend on the selected mechanism (e.g. REFsb needing a spec
-    // with bank-group support) fire here, not at System construction.
+    // System-level keys (numCores, sim.engine, the traffic.* family)
+    // and the memory system, whose messages already name keys.
+    // rowsPerBank must be applied first, as finalize() would, and the
+    // policy's config bundle resolved so checks that depend on the
+    // selected mechanism (e.g. REFsb needing a spec with bank-group
+    // support) fire here, not at System construction.
+    SystemConfig sys = toSystemConfig();
+    const std::string sysErrors = sys.validate();
+    if (!sysErrors.empty())
+        fail(sysErrors);
     if (densityGb == 8 || densityGb == 16 || densityGb == 32) {
-        SystemConfig sys = toSystemConfig();
         sys.mem.org.rowsPerBank = rowsPerBankFor(sys.mem.density);
         if (registry.has(sys.mem.policy))
             registry.resolve(sys.mem);
@@ -432,43 +345,11 @@ SystemConfig
 ExperimentConfig::toSystemConfig() const
 {
     SystemConfig sys;
-    sys.mem.policy = policy;
-    sys.mem.dramSpec = dramSpec;
-    sys.mem.addressMap = addressMap;
-    sys.mem.channelStaggerCycles = channelStagger;
-    sys.mem.density = densityGb == 8 ? Density::k8Gb
-        : densityGb == 16            ? Density::k16Gb
-                                     : Density::k32Gb;
-    sys.mem.retentionMs = retentionMs;
-    sys.mem.org.subarraysPerBank = subarraysPerBank;
-    sys.mem.org.channels = channels;
-    sys.mem.org.ranksPerChannel = ranksPerChannel;
-    sys.mem.org.banksPerRank = banksPerRank;
-    sys.mem.readQueueSize = readQueueSize;
-    sys.mem.writeQueueSize = writeQueueSize;
-    if (writeHighWatermark >= 0)
-        sys.mem.writeHighWatermark = writeHighWatermark;
-    if (writeLowWatermark >= 0)
-        sys.mem.writeLowWatermark = writeLowWatermark;
-    if (refabStaggerDivisor >= 0)
-        sys.mem.refabStaggerDivisor = refabStaggerDivisor;
-    if (maxOverlappedRefPb >= 0)
-        sys.mem.maxOverlappedRefPb = maxOverlappedRefPb;
-    sys.mem.tFawOverride = tFawOverride;
-    sys.mem.tRrdOverride = tRrdOverride;
-    sys.mem.darpWriteRefresh = darpWriteRefresh;
-    sys.mem.hiraCoverage = hiraCoverage;
-    sys.mem.hiraDelayCycles = hiraDelay;
-    sys.mem.sameBankGroupSize = sameBankGroupSize;
-    sys.mem.sameBankPullIn = sameBankPullIn;
-    sys.mem.srIdleEntryCycles = srIdleEntry;
-    sys.mem.fgrRate = fgrRate;
-    sys.mem.selfRefreshIdleCycles = selfRefreshIdle;
+#define DSARP_PROJECT(constant, key, Type, field, path, doc) \
+    sys.path = keytype::Type::toSystem(field);
+    DSARP_CONFIG_KEYS(DSARP_PROJECT, DSARP_KEY_SKIP, DSARP_KEY_SKIP)
+#undef DSARP_PROJECT
     sys.traffic = traffic;
-    sys.numCores = numCores;
-    sys.seed = seed;
-    sys.enableChecker = enableChecker;
-    sys.engine = engine;
     return sys;
 }
 

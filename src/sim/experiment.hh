@@ -10,12 +10,14 @@
  * toSystemConfig() projects it onto the SystemConfig that System and
  * Runner consume.
  *
- * Every field is settable as a "key=value" string override, so the
- * same config can be assembled from (in order of increasing
- * precedence) defaults, a config file, the DSARP_SET environment
- * variable, and CLI arguments:
+ * Its fields, and the keys that set them, are generated from the one
+ * key list in sim/config_keys.hh. Code fills the fields directly
+ * (designated initializers follow the list order); every field is also
+ * settable as a "key=value" string override, so the same config can be
+ * assembled from (in order of increasing precedence) defaults, a
+ * config file, the DSARP_SET environment variable, and CLI arguments:
  *
- *   ExperimentConfig cfg;
+ *   ExperimentConfig cfg{.policy = "REFpb", .densityGb = 16};
  *   cfg.applyFile("experiment.cfg");   // lines of key=value
  *   cfg.applyEnv();                    // DSARP_SET="key=value,key=value"
  *   cfg.set("policy", "DSARP");        // programmatic / CLI
@@ -34,106 +36,118 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "sim/config_keys.hh"
 
 namespace dsarp {
 
+/**
+ * Value types of the config key list (sim/config_keys.hh): what a
+ * field holds, how it maps onto its SystemConfig path, and the type
+ * name --list-keys prints. Each type's parser lives in experiment.cc.
+ */
+namespace keytype {
+
+/** A field held exactly as the SystemConfig holds it. */
+template <typename T>
+struct Same
+{
+    using Value = T;
+    static const T &toSystem(const T &v) { return v; }
+    static const T &fromSystem(const T &v) { return v; }
+};
+
+struct Int : Same<int>
+{
+    static constexpr char kName[] = "int";
+};
+
+/** Non-negative. */
+struct U64 : Same<std::uint64_t>
+{
+    static constexpr char kName[] = "u64";
+};
+
+struct Real : Same<double>
+{
+    static constexpr char kName[] = "number";
+};
+
+/** true/false, yes/no, on/off or 1/0, in any case. */
+struct Bool : Same<bool>
+{
+    static constexpr char kName[] = "bool";
+};
+
+/** A non-empty string; the key's doc line says what it names. */
+struct Name : Same<std::string>
+{
+    static constexpr char kName[] = "name";
+};
+
+/** A Name, stored lowercased. */
+struct Lower : Same<std::string>
+{
+    static constexpr char kName[] = "name";
+};
+
+/** Any string, the empty one included. */
+struct Text : Same<std::string>
+{
+    static constexpr char kName[] = "text";
+};
+
+/** A chip density in Gb (8/16/32), projected onto Density. */
+struct Gb
+{
+    using Value = int;
+    static constexpr char kName[] = "int";
+    static Density toSystem(int gb)
+    {
+        return gb == 8 ? Density::k8Gb
+                       : (gb == 16 ? Density::k16Gb : Density::k32Gb);
+    }
+    static int fromSystem(Density d)
+    {
+        return d == Density::k8Gb ? 8 : (d == Density::k16Gb ? 16 : 32);
+    }
+};
+
+} // namespace keytype
+
+/**
+ * The system an ExperimentConfig{} describes: SystemConfig's own
+ * defaults, except that an experiment defaults to the paper's headline
+ * point, DSARP at 32 Gb. Every SYS field of the key list defaults to
+ * its value here.
+ */
+inline const SystemConfig &
+defaultSystem()
+{
+    static const SystemConfig sys = [] {
+        SystemConfig s;
+        s.mem.policy = "DSARP";
+        s.mem.density = Density::k32Gb;
+        return s;
+    }();
+    return sys;
+}
+
 struct ExperimentConfig
 {
-    // --- Refresh mechanism (registry name, case-insensitive) ---------
-    std::string policy = "DSARP";
+    // One field per SYS and RUN row of the key list, in list order
+    // (designated initializers follow it).
+#define DSARP_FIELD_SYS(constant, key, Type, field, path, doc) \
+    keytype::Type::Value field =                               \
+        keytype::Type::fromSystem(defaultSystem().path);
+#define DSARP_FIELD_RUN(constant, key, Type, field, init, doc) \
+    keytype::Type::Value field = init;
+    DSARP_CONFIG_KEYS(DSARP_FIELD_SYS, DSARP_KEY_SKIP, DSARP_FIELD_RUN)
+#undef DSARP_FIELD_SYS
+#undef DSARP_FIELD_RUN
 
-    // --- Memory system ----------------------------------------------
-    /** DRAM device spec by registry name (key "dram.spec"; see
-     *  dram/spec.hh). Unknown names fail validation with a named-key
-     *  error listing the registered specs. */
-    std::string dramSpec = "DDR3-1333";
-
-    /** Physical-address interleave by registry name (key "address.map";
-     *  see dram/address.hh). Unknown names fail validation with a
-     *  named-key error listing the registered maps. */
-    std::string addressMap = "burst-ch";
-
-    int densityGb = 32;          ///< 8 | 16 | 32.
-    int retentionMs = 32;        ///< 32 | 64.
-    int subarraysPerBank = 8;
-    int channels = 2;
-    int ranksPerChannel = 2;
-    int banksPerRank = 8;
-    int readQueueSize = 64;
-    int writeQueueSize = 64;
-    int writeHighWatermark = -1; ///< -1 = MemConfig default (54).
-    int writeLowWatermark = -1;  ///< -1 = MemConfig default (32).
-    int refabStaggerDivisor = -1;///< -1 = MemConfig default (8).
-    int maxOverlappedRefPb = -1; ///< -1 = MemConfig default (1).
-    int tFawOverride = 0;        ///< Cycles; 0 = datasheet value.
-    int tRrdOverride = 0;        ///< Cycles; 0 = datasheet value.
-    bool darpWriteRefresh = true;
-
-    /** HiRA hidden-refresh coverage fraction (key
-     *  "refresh.hiraCoverage"); -1 = the spec's characterized ~32%. */
-    double hiraCoverage = -1.0;
-
-    /** Demand-ACT to hidden-refresh delay in cycles (key
-     *  "refresh.hiraDelay"); 0 = the spec's tHiRA. */
-    int hiraDelay = 0;
-
-    /** Same-bank refresh slice size in banks (key
-     *  "refresh.samebank.groupSize"); 0 = the spec's bank-group
-     *  geometry. Must divide banksPerRank. */
-    int sameBankGroupSize = 0;
-
-    /** Allow opportunistic pull-in of same-bank slices on idle
-     *  channels (key "refresh.samebank.pullIn"). */
-    bool sameBankPullIn = true;
-
-    /** Command-level self-refresh idle-entry threshold in demand-idle
-     *  cycles (key "refresh.selfRefresh.idleEntry"); 0 disables the
-     *  SRE/SRX protocol. */
-    int srIdleEntry = 0;
-
-    /** Explicit FGR rate for any mechanism (key "refresh.fgrRate");
-     *  0 keeps the profile default, else 1/2/4. */
-    int fgrRate = 0;
-
-    /** Cross-channel refresh-schedule phase in cycles (key
-     *  "refresh.channelStagger"): 0 = off (bit-identical default),
-     *  -1 = the even spread tREFIab / channels, > 0 = explicit. */
-    int channelStagger = 0;
-
-    /** Legacy accounting-only self-refresh energy state (key
-     *  "energy.selfRefreshIdle"); 0 disables. Deprecated in favour of
-     *  refresh.selfRefresh.idleEntry. */
-    int selfRefreshIdle = 0;
-
-    // --- Open-loop traffic front end ---------------------------------
-    /**
-     * The traffic.* / tenant.* key family (see TrafficConfig):
-     * traffic.mode selects the arrival process ("off" keeps the
-     * closed-loop cores), traffic.rate/readPct/hotRowPct/hotRows shape
-     * it, tenant.count/tenant.priorities split the address space into
-     * prioritized partitions, and traffic.trace replays an external
-     * DRAMSim-style trace.
-     */
-    TrafficConfig traffic;
-
-    // --- System ------------------------------------------------------
-    int numCores = 8;
-    std::uint64_t seed = 1;
-    bool enableChecker = false;
-
-    /** Simulation engine (key "sim.engine"): "event" (default) skips
-     *  to the next component deadline, "cycle" steps every tick and is
-     *  the reference. Commands, stats, and RNG streams are
-     *  bit-identical between the two. */
-    std::string engine = "event";
-
-    // --- Run lengths (0 = DSARP_BENCH_* env knob, then default) ------
-    std::uint64_t warmupCycles = 0;
-    std::uint64_t measureCycles = 0;
-
-    // --- Workload ----------------------------------------------------
-    std::uint64_t workloadSeed = 1;
-    int intensityPct = 100;      ///< 0 | 25 | 50 | 75 | 100.
+    /** The traffic.* / tenant.* keys (TRAFFIC rows): traffic.mode
+     *  "off" keeps the closed-loop cores. */
+    TrafficConfig traffic{};
 
     /**
      * Set one field from its string form. Returns "" on success,
@@ -177,6 +191,10 @@ struct ExperimentConfig
 
     /** Every override key, sorted (for help text and error messages). */
     static std::vector<std::string> knownKeys();
+
+    /** The --list-keys text: one line per key, sorted, giving its
+     *  type, its ExperimentConfig{} default and its doc line. */
+    static std::string keyListing();
 
     /**
      * Cross-field validation. Returns "" when consistent, otherwise a

@@ -133,7 +133,6 @@ Runner::aloneIpc(int bench_idx, const SystemConfig &sys)
     SystemConfig alone = sys;
     alone.mem.policy = "NoREF";
     alone.mem.srIdleEntryCycles = 0;
-    alone.mem.selfRefreshIdleCycles = 0;
     alone.numCores = 1;
     alone.enableChecker = false;
     System system(alone, std::vector<int>{bench_idx});

@@ -16,118 +16,6 @@ Simulation::Builder::config(const ExperimentConfig &cfg)
 }
 
 Simulation::Builder &
-Simulation::Builder::policy(const std::string &name)
-{
-    cfg_.policy = name;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::dramSpec(const std::string &name)
-{
-    cfg_.dramSpec = name;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::addressMap(const std::string &name)
-{
-    cfg_.addressMap = name;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::channels(int n)
-{
-    cfg_.channels = n;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::channelStagger(int cycles)
-{
-    cfg_.channelStagger = cycles;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::densityGb(int gb)
-{
-    cfg_.densityGb = gb;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::cores(int n)
-{
-    cfg_.numCores = n;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::retentionMs(int ms)
-{
-    cfg_.retentionMs = ms;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::subarraysPerBank(int n)
-{
-    cfg_.subarraysPerBank = n;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::seed(std::uint64_t s)
-{
-    cfg_.seed = s;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::workloadSeed(std::uint64_t s)
-{
-    cfg_.workloadSeed = s;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::hiraCoverage(double fraction)
-{
-    cfg_.hiraCoverage = fraction;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::hiraDelay(int cycles)
-{
-    cfg_.hiraDelay = cycles;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::intensityPct(int pct)
-{
-    cfg_.intensityPct = pct;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::warmupCycles(std::uint64_t ticks)
-{
-    cfg_.warmupCycles = ticks;
-    return *this;
-}
-
-Simulation::Builder &
-Simulation::Builder::measureCycles(std::uint64_t ticks)
-{
-    cfg_.measureCycles = ticks;
-    return *this;
-}
-
-Simulation::Builder &
 Simulation::Builder::set(const std::string &key, const std::string &value)
 {
     cfg_.set(key, value);

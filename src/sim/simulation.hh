@@ -2,15 +2,13 @@
  * @file
  * Simulation: the fluent entry point to the library.
  *
- * One builder assembles an experiment from any mix of programmatic
- * calls, key=value overrides, config files, and the environment, then
- * build() validates everything (errors name the bad key) and run()
- * drives the full warmup/measure/metrics/energy pipeline:
+ * One builder assembles an experiment from an ExperimentConfig,
+ * key=value overrides, config files, and the environment, then build()
+ * validates everything (errors name the bad key) and run() drives the
+ * full warmup/measure/metrics/energy pipeline:
  *
  *   RunResult res = Simulation::builder()
- *                       .policy("DSARP")
- *                       .densityGb(32)
- *                       .cores(8)
+ *                       .config({.policy = "DSARP", .numCores = 8})
  *                       .set("writeLowWatermark", "24")
  *                       .build()
  *                       .run();
@@ -49,27 +47,6 @@ class Simulation
       public:
         /** Replace the whole config (then refine with the calls below). */
         Builder &config(const ExperimentConfig &cfg);
-
-        Builder &policy(const std::string &name);
-        Builder &dramSpec(const std::string &name);
-        Builder &addressMap(const std::string &name);
-        Builder &channels(int n);
-        Builder &channelStagger(int cycles);
-        Builder &densityGb(int gb);
-        Builder &cores(int n);
-        Builder &retentionMs(int ms);
-        Builder &subarraysPerBank(int n);
-        Builder &seed(std::uint64_t s);
-        Builder &workloadSeed(std::uint64_t s);
-
-        /** HiRA knobs (= "refresh.hiraCoverage" / "refresh.hiraDelay"):
-         *  hidden-refresh coverage fraction (-1 = spec default) and the
-         *  demand-ACT to hidden-refresh delay (0 = spec tHiRA). */
-        Builder &hiraCoverage(double fraction);
-        Builder &hiraDelay(int cycles);
-        Builder &intensityPct(int pct);
-        Builder &warmupCycles(std::uint64_t ticks);
-        Builder &measureCycles(std::uint64_t ticks);
 
         /** One key=value override; a fatal named-key error if bad. */
         Builder &set(const std::string &key, const std::string &value);

@@ -9,9 +9,13 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 
 #include "common/log.hh"
 #include "sim/cli.hh"
+#include "sim/config_keys.hh"
 
 using namespace dsarp;
 
@@ -58,6 +62,34 @@ TEST(Cli, ListAndHelpShortCircuit)
     // stops there, like the original tool's early returns.
     EXPECT_EQ(parse({"--list-maps", "--bogus"}).action,
               CliAction::ListMaps);
+}
+
+TEST(Cli, ListKeysDocumentsEveryKey)
+{
+    // --list-keys: one line per key giving its type, default and doc.
+    struct Listed
+    {
+        std::string type, value, doc;
+    };
+    std::map<std::string, Listed> listed;
+    std::istringstream in(ExperimentConfig::keyListing());
+    for (std::string line; std::getline(in, line);) {
+        std::istringstream fields(line);
+        std::string key;
+        Listed l;
+        fields >> key >> l.type >> l.value;
+        std::getline(fields >> std::ws, l.doc);
+        EXPECT_TRUE(listed.emplace(key, l).second) << "twice: " << key;
+    }
+    for (const char *key : keys::kAllKeys) {
+        const auto it = listed.find(key);
+        ASSERT_NE(it, listed.end()) << "--list-keys misses " << key;
+        EXPECT_FALSE(it->second.type.empty()) << key;
+        EXPECT_FALSE(it->second.doc.empty()) << key << " has no doc line";
+    }
+    EXPECT_EQ(listed.size(), std::size(keys::kAllKeys));
+    EXPECT_EQ(listed[keys::kPolicy].value, "DSARP");
+    EXPECT_EQ(listed[keys::kChannels].type, "int");
 }
 
 TEST(Cli, FlagSyntaxErrorsAreNamed)

@@ -412,11 +412,11 @@ TEST(DramSpecConfig, EmptySpecValueIsRejected)
 TEST(DramSpecConfig, SimulationResolvesAndCachesSpec)
 {
     Simulation sim = Simulation::builder()
-                         .policy("REFab")
-                         .dramSpec("lpddr4")
-                         .cores(2)
-                         .warmupCycles(500)
-                         .measureCycles(2000)
+                         .config({.policy = "REFab",
+                                  .dramSpec = "lpddr4",
+                                  .numCores = 2,
+                                  .warmupCycles = 500,
+                                  .measureCycles = 2000})
                          .build();
     EXPECT_EQ(sim.dramSpecName(), "LPDDR4-3200");
     EXPECT_EQ(sim.config().dramSpec, "LPDDR4-3200");

@@ -154,24 +154,35 @@ TEST(ExperimentConfig, ToSystemConfigProjection)
     EXPECT_EQ(sys.numCores, 2);
     EXPECT_EQ(sys.seed, 7u);
 
-    // The -1 sentinels keep the MemConfig defaults...
-    const SystemConfig defaults = ExperimentConfig{}.toSystemConfig();
-    EXPECT_EQ(defaults.mem.writeLowWatermark, 32);
-    EXPECT_EQ(defaults.mem.writeHighWatermark, 54);
-    EXPECT_EQ(defaults.mem.maxOverlappedRefPb, 1);
+    // The defaults are defaultSystem()'s: the MemConfig defaults, read
+    // from it, except for the paper's headline point (DSARP, 32 Gb)...
+    const ExperimentConfig defaults;
+    EXPECT_EQ(defaults.policy, "DSARP");
+    EXPECT_EQ(defaults.densityGb, 32);
+    EXPECT_EQ(defaults.writeLowWatermark, 32);
+    EXPECT_EQ(defaults.writeHighWatermark, 54);
+    EXPECT_EQ(defaults.refabStaggerDivisor, 8);
+    EXPECT_EQ(defaults.maxOverlappedRefPb, 1);
+    const SystemConfig projected = defaults.toSystemConfig();
+    EXPECT_EQ(projected.mem.writeLowWatermark, 32);
+    EXPECT_EQ(projected.mem.writeHighWatermark, 54);
+    EXPECT_EQ(projected.mem.maxOverlappedRefPb, 1);
 
-    // ...but an explicit 0 is an override, not a fallback.
+    // ...an explicit 0 is an override like any other value...
     ExperimentConfig zero;
     zero.writeLowWatermark = 0;
     EXPECT_EQ(zero.validate(), "");
     EXPECT_EQ(zero.toSystemConfig().mem.writeLowWatermark, 0);
 
-    // And negative values (other than the -1 sentinel) are named, not
-    // silently replaced by the default.
-    ExperimentConfig negative;
-    negative.writeHighWatermark = -5;
-    const std::string err = negative.validate();
-    EXPECT_NE(err.find("'writeHighWatermark'"), std::string::npos) << err;
+    // ...and a negative value, -1 included, is a named error, never a
+    // fallback to the default.
+    for (const int bad : {-1, -5}) {
+        ExperimentConfig negative;
+        negative.writeHighWatermark = bad;
+        const std::string err = negative.validate();
+        EXPECT_NE(err.find("'writeHighWatermark'"), std::string::npos)
+            << err;
+    }
 }
 
 namespace {
@@ -246,8 +257,6 @@ keyRows()
              return s.mem.srIdleEntryCycles == 300; }}},
         {keys::kFgrRate, {"2", [](const E &, const S &s) {
              return s.mem.fgrRate == 2; }}},
-        {keys::kSelfRefreshIdle, {"100", [](const E &, const S &s) {
-             return s.mem.selfRefreshIdleCycles == 100; }}},
         {keys::kNumCores, {"2", [](const E &, const S &s) {
              return s.numCores == 2; }}},
         {keys::kSeed, {"9", [](const E &, const S &s) {
@@ -330,12 +339,12 @@ TEST(ExperimentConfig, MechanismNameCanonicalises)
 TEST(Simulation, BuilderRunsTheFullPipeline)
 {
     RunResult res = Simulation::builder()
-                        .policy("REFab")
-                        .densityGb(8)
-                        .cores(2)
-                        .intensityPct(100)
-                        .warmupCycles(2000)
-                        .measureCycles(15000)
+                        .config({.policy = "REFab",
+                                 .densityGb = 8,
+                                 .numCores = 2,
+                                 .warmupCycles = 2000,
+                                 .measureCycles = 15000,
+                                 .intensityPct = 100})
                         .build()
                         .run();
     ASSERT_EQ(res.ipc.size(), 2u);
@@ -352,8 +361,8 @@ TEST(Simulation, KeyValueOverridesReachTheSystem)
                          .apply("policy=REFpb")
                          .set("numCores", "2")
                          .set("densityGb", "8")
-                         .warmupCycles(1000)
-                         .measureCycles(10000)
+                         .set("warmupCycles", "1000")
+                         .set("measureCycles", "10000")
                          .build();
     EXPECT_EQ(sim.mechanismName(), "REFpb");
     EXPECT_EQ(sim.workload().benchIdx.size(), 2u);
@@ -364,9 +373,11 @@ TEST(Simulation, KeyValueOverridesReachTheSystem)
 
 TEST(SimulationDeath, InvalidConfigNamesTheKey)
 {
-    EXPECT_EXIT(Simulation::builder().policy("REFab").cores(-3).build(),
+    EXPECT_EXIT(Simulation::builder()
+                    .config({.policy = "REFab", .numCores = -3})
+                    .build(),
                 testing::ExitedWithCode(1), "numCores");
-    EXPECT_EXIT(Simulation::builder().policy("what").build(),
+    EXPECT_EXIT(Simulation::builder().set("policy", "what").build(),
                 testing::ExitedWithCode(1),
                 "unknown refresh policy 'what'");
 }

@@ -521,25 +521,6 @@ TEST(SelfRefreshConfig, NamedKeyValidation)
     EXPECT_NE(cfg.validate().find("refresh.selfRefresh.idleEntry"),
               std::string::npos);
 
-    // The two self-refresh keys are mutually exclusive.
-    cfg = ExperimentConfig{};
-    cfg.srIdleEntry = 1000;
-    cfg.selfRefreshIdle = 1000;
-    EXPECT_NE(cfg.validate().find("mutually exclusive"),
-              std::string::npos);
-
-    // The legacy accounting-only key cannot exceed tREFIab: the state
-    // cannot outlast the external refresh schedule it claims to
-    // replace (DDR3-1333: tREFIab = 2600 cycles).
-    cfg = ExperimentConfig{};
-    cfg.selfRefreshIdle = 3000;
-    const std::string err = cfg.validate();
-    EXPECT_NE(err.find("energy.selfRefreshIdle"), std::string::npos);
-    EXPECT_NE(err.find("refresh.selfRefresh.idleEntry"),
-              std::string::npos);
-    cfg.selfRefreshIdle = 2000;
-    EXPECT_EQ(cfg.validate(), "") << cfg.validate();
-
     // refresh.fgrRate accepts only 0/1/2/4.
     cfg = ExperimentConfig{};
     cfg.fgrRate = 3;

@@ -80,7 +80,8 @@ usage()
         "  --list-mechs       print the registered refresh mechanisms\n"
         "  --list-specs       print the registered DRAM specs\n"
         "  --list-maps        print the registered address maps\n"
-        "  --list-keys        print every config key --set accepts\n"
+        "  --list-keys        print every config key --set accepts, with its\n"
+        "                     type, default and doc line\n"
         "  --list-benchmarks  print the benchmark catalogue\n"
         "\nDSARP_SET=\"key=value,...\" in the environment is applied\n"
         "between --config and the other flags.\n");
@@ -163,8 +164,7 @@ main(int argc, char **argv)
         listMaps();
         return 0;
       case CliAction::ListKeys:
-        for (const std::string &key : ExperimentConfig::knownKeys())
-            std::printf("%s\n", key.c_str());
+        std::fputs(ExperimentConfig::keyListing().c_str(), stdout);
         return 0;
       case CliAction::ListBenchmarks:
         listBenchmarks();

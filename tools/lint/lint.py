@@ -11,12 +11,16 @@ Six checks, each born from a real bug class in this codebase:
    LPDDR4 refresh energy 2x).
 
 2. config-key-once -- every ExperimentConfig key string is declared
-   exactly once, in src/sim/config_keys.hh.  A bare string literal
-   under src/ that respells a known key (e.g. "refresh.fgrRate")
-   forks the user-facing vocabulary; library code must reference the
-   keys::k* constant instead.  Comments, and tests/tools that
-   exercise the public string API the way a user would, are exempt;
-   only exact standalone literals in src/ code are flagged.
+   exactly once, as a row of the DSARP_CONFIG_KEYS list in
+   src/sim/config_keys.hh (``SYS(kConstant, "key", ...)``, likewise
+   TRAFFIC and RUN rows).  Two rows spelling the same key (compared
+   case-insensitively, as trySet() matches keys) are flagged.  A bare
+   string literal under src/ that respells a known key (e.g.
+   "refresh.fgrRate") forks the user-facing vocabulary; library code
+   must reference the keys::k* constant instead.  Comments, and
+   tests/tools that exercise the public string API the way a user
+   would, are exempt; only exact standalone literals in src/ code are
+   flagged.
 
 3. registrar-once -- every DSARP_REGISTER_REFRESH_POLICY /
    DSARP_REGISTER_DRAM_SPEC / DSARP_REGISTER_ADDRESS_MAP identifier
@@ -81,6 +85,8 @@ RAW_TCK_RE = re.compile(
 COMMENT_RE = re.compile(r"^\s*(?://|\*|/\*)")
 
 STRING_LIT_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+# One row of the key list: ``SYS(kPolicy, "policy", ...``.
+KEY_ROW_RE = re.compile(r'^\s*(?:SYS|TRAFFIC|RUN)\(\s*k\w+\s*,\s*"([^"]*)"')
 REGISTRAR_RE = re.compile(
     r"DSARP_REGISTER_(?:REFRESH_POLICY|DRAM_SPEC|ADDRESS_MAP)"
     r"\(\s*(\w+)")
@@ -114,19 +120,17 @@ def source_files(root):
     return out
 
 
-def config_keys(root):
-    """Key literals declared in config_keys.hh, in declaration order."""
+def config_key_rows(root):
+    """(line number, key) of every key-list row in config_keys.hh."""
     header = root / "src/sim/config_keys.hh"
     if not header.exists():
         return []
-    keys = []
-    for line in header.read_text().splitlines():
-        if "constexpr char" not in line:
-            continue
-        m = STRING_LIT_RE.search(line)
+    rows = []
+    for lineno, line in enumerate(header.read_text().splitlines(), 1):
+        m = KEY_ROW_RE.match(line)
         if m:
-            keys.append(m.group(1))
-    return keys
+            rows.append((lineno, m.group(1)))
+    return rows
 
 
 def check_unit_conversions(root, findings):
@@ -145,7 +149,8 @@ def check_unit_conversions(root, findings):
 
 
 def check_config_keys(root, findings):
-    keys = set(config_keys(root))
+    rows = config_key_rows(root)
+    keys = {key for _, key in rows}
     if not keys:
         findings.append(
             "src/sim/config_keys.hh: missing or declares no keys")
@@ -165,17 +170,12 @@ def check_config_keys(root, findings):
                         f"\"{m.group(1)}\" respelled; use the keys::k* "
                         "constant from sim/config_keys.hh")
     seen = {}
-    for lineno, line in enumerate(
-            (root / header).read_text().splitlines(), 1):
-        if "constexpr char" not in line:
-            continue
-        m = STRING_LIT_RE.search(line)
-        if m and m.group(1) in seen:
+    for lineno, key in rows:
+        first = seen.setdefault(key.lower(), lineno)
+        if first != lineno:
             findings.append(
-                f"{header}:{lineno}: key \"{m.group(1)}\" declared "
-                f"twice (first at line {seen[m.group(1)]})")
-        elif m:
-            seen[m.group(1)] = lineno
+                f"{header}:{lineno}: key \"{key}\" declared twice "
+                f"(first at line {first})")
 
 
 def check_registrars(root, findings):
@@ -307,14 +307,22 @@ def self_test():
         (root / "src/sim").mkdir(parents=True)
         (root / "tests").mkdir()
 
+        # 2a. A key declared twice, once verbatim and once in another
+        # case (keys match case-insensitively).
         (root / "src/sim/config_keys.hh").write_text(
-            'inline constexpr char kFgrRate[] = "refresh.fgrRate";\n')
+            "#define DSARP_CONFIG_KEYS(SYS, TRAFFIC, RUN) \\\n"
+            '    SYS(kFgrRate, "refresh.fgrRate", Int, fgrRate, '
+            'mem.fgrRate, "doc") \\\n'
+            '    SYS(kFgrRate2, "refresh.fgrRate", Int, fgrRate2, '
+            'mem.fgrRate, "doc") \\\n'
+            '    RUN(kFgrRate3, "refresh.FgrRate", Int, fgrRate3, 0, '
+            '"doc")\n')
 
         # 1. Raw tCK conversion outside the blessed TUs.
         (root / "src/dram/bad_convert.cc").write_text(
             "int cycles(double ns, double tCkNs)\n"
             "{ return static_cast<int>(ns / tCkNs); }\n")
-        # 2. A respelled config key in library code (tests/tools may
+        # 2b. A respelled config key in library code (tests/tools may
         # spell keys out; src/ must not).
         (root / "src/sim/bad_key.cc").write_text(
             'const char *k = "refresh.fgrRate";\n')
@@ -345,7 +353,7 @@ def self_test():
             "void f(SystemConfig &cfg) { cfg.mem.sarp = true; }\n")
 
         findings = run_checks(root)
-        for needle in ("raw tCK arithmetic", "respelled",
+        for needle in ("raw tCK arithmetic", "respelled", "declared twice",
                        "exactly one TU", "raw thread spawn",
                        "no SELF_TEST_SEEDS entry", "no seed corpus",
                        "not covered by lint.py REGISTRAR_RE",
@@ -353,6 +361,10 @@ def self_test():
             if not any(needle in f for f in findings):
                 failures.append(f"self-test: no finding matching "
                                 f"'{needle}' in {findings}")
+        twice = [f for f in findings if "declared twice" in f]
+        if len(twice) != 2:
+            failures.append(f"self-test: expected both duplicate keys "
+                            f"reported, got {twice}")
         # The seeded rule must NOT be flagged (counterexample for 5a),
         # and known registrar families stay clean (5c).
         for f in findings:
