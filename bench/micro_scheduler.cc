@@ -95,13 +95,16 @@ BM_FrFcfsPickNothingIssuable(benchmark::State &state)
     }
     const std::vector<std::uint8_t> no_bank(ranks * banks, 0);
     const std::vector<std::uint8_t> no_rank(ranks, 0);
-    if (FrFcfs::pick(queue, channel, now, no_bank, no_rank, banks).valid) {
+    CandidateCache cache(ranks * banks);
+    if (FrFcfs::pick(queue, channel, now, no_bank, no_rank, banks, cache)
+            .valid) {
         state.SkipWithError("set-up left a command issuable");
         return;
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            FrFcfs::pick(queue, channel, now, no_bank, no_rank, banks));
+            FrFcfs::pick(queue, channel, now, no_bank, no_rank, banks,
+                         cache));
     }
 }
 BENCHMARK(BM_FrFcfsPickNothingIssuable)->Arg(8)->Arg(32)->Arg(64);

@@ -17,6 +17,8 @@ ChannelController::ChannelController(ChannelId id, const MemConfig *cfg,
              cfg->org.banksPerRank),
       writeQ_(cfg->writeQueueSize, cfg->org.ranksPerChannel,
               cfg->org.banksPerRank),
+      readScan_(cfg->org.ranksPerChannel * cfg->org.banksPerRank),
+      writeScan_(cfg->org.ranksPerChannel * cfg->org.banksPerRank),
       writeDrain_(cfg->writeHighWatermark, cfg->writeLowWatermark)
 {
     refreshSched_ =
@@ -27,6 +29,7 @@ ChannelController::ChannelController(ChannelId id, const MemConfig *cfg,
     lastDemandActivity_.assign(cfg->org.ranksPerChannel, 0);
     pendingReads_.reserve(cfg->readQueueSize);
     urgentScratch_.reserve(8);
+    enqueuedBanks_.reserve(8);
 }
 
 bool
@@ -35,10 +38,10 @@ ChannelController::enqueueRead(const Request &req, Tick now)
     // Forward from the write queue when a not-yet-drained write to the
     // same line exists (the controller holds the freshest data). The
     // completion is delivered on the next tick, never synchronously.
+    // A forwarded read leaves the arbitration as it was.
     if (writeQ_.findAddr(req.loc.rank, req.loc.bank, req.addr) >= 0) {
         ++stats_.forwardedReads;
         pendingReads_.push_back({now + 1, req});
-        enqueuedSinceTick_ = true;
         return true;
     }
     if (!readQ_.push(req)) {
@@ -48,8 +51,7 @@ ChannelController::enqueueRead(const Request &req, Tick now)
         return false;
     }
     ++stats_.readsEnqueued;
-    lastDemandActivity_[req.loc.rank] = now;
-    enqueuedSinceTick_ = true;
+    noteEnqueue(req, now);
     return true;
 }
 
@@ -61,9 +63,39 @@ ChannelController::enqueueWrite(const Request &req, Tick now)
         return false;
     }
     ++stats_.writesEnqueued;
-    lastDemandActivity_[req.loc.rank] = now;
-    enqueuedSinceTick_ = true;
+    noteEnqueue(req, now);
     return true;
+}
+
+void
+ChannelController::noteEnqueue(const Request &req, Tick now)
+{
+    lastDemandActivity_[req.loc.rank] = now;
+    if (channel_.rank(req.loc.rank).inSelfRefresh(now))
+        enqueueSteps_ = true;  // Demand at a sleeping rank wants SRX.
+    else if (req.isWrite == writeDrain_.active())
+        enqueuedBanks_.emplace_back(req.loc.rank, req.loc.bank);
+}
+
+Tick
+ChannelController::enqueueWake(Tick now) const
+{
+    // A new request only adds candidates, and only in its own bank:
+    // the conflict window keeps its oldest members, and an ACT block
+    // the request lifts (an elastic release it cancels) covers no
+    // other queued request of the rank, since the release needed the
+    // rank free of demand. Other steps see later idle instants or
+    // fewer candidates, which a wake may safely precede. Two changes
+    // reach beyond the bank: a drain flip switches the pick's queue,
+    // and demand at a sleeping rank wants SRX.
+    if (enqueueSteps_ || writeDrain_.flipsAt(writeQ_.size()))
+        return now + 1;
+    Tick ready = kTickNever;
+    for (const auto &[r, b] : enqueuedBanks_) {
+        ready = std::min(ready, FrFcfs::bankReadyAt(servedQueue(), channel_,
+                                                    now, r, b));
+    }
+    return std::max(now + 1, ready);
 }
 
 int
@@ -132,8 +164,21 @@ ChannelController::toCommand(const RefreshRequest &req) const
     return cmd;
 }
 
+std::pair<BankId, BankId>
+ChannelController::targetBanks(const RefreshRequest &req) const
+{
+    if (req.allBank)
+        return {0, cfg_->org.banksPerRank - 1};
+    if (req.sameBank) {
+        // A slice refresh covers every bank of its group.
+        const int slice = timing_->banksPerGroup;
+        return {req.bank * slice, (req.bank + 1) * slice - 1};
+    }
+    return {req.bank, req.bank};
+}
+
 bool
-ChannelController::tryIssue(const Command &cmd, Tick now)
+ChannelController::tryIssue(const Command &cmd, Tick now, Issued kind)
 {
     const Tick ready = channel_.readyAt(cmd, now);
     if (ready > now) {
@@ -141,7 +186,7 @@ ChannelController::tryIssue(const Command &cmd, Tick now)
         return false;
     }
     channel_.issue(cmd, now);
-    issuedThisTick_ = true;
+    issued_ = kind;
     if (cmdLog_)
         cmdLog_->push_back({now, cmd});
     return true;
@@ -152,7 +197,7 @@ ChannelController::serveDemand(RequestQueue &queue, const CmdChoice &choice,
                                Tick now)
 {
     const Tick data_tick = channel_.issue(choice.cmd, now);
-    issuedThisTick_ = true;
+    issued_ = Issued::kAccess;
     if (cmdLog_)
         cmdLog_->push_back({now, choice.cmd});
     lastDemandActivity_[choice.cmd.rank] = now;
@@ -193,7 +238,7 @@ ChannelController::arbitrate(Tick now)
         Command srx;
         srx.type = CommandType::kSrExit;
         srx.rank = r;
-        if (tryIssue(srx, now)) {
+        if (tryIssue(srx, now, Issued::kRefreshState)) {
             refreshSched_->onSrExit(r, now);
             return;
         }
@@ -211,22 +256,16 @@ ChannelController::arbitrate(Tick now)
             continue;
         if (req.allBank) {
             blockedActRank_[req.rank] = 1;
-        } else if (req.sameBank) {
-            // A blocking slice refresh drains every bank of its group.
-            const int slice = timing_->banksPerGroup;
-            for (int b = req.bank * slice; b < (req.bank + 1) * slice;
-                 ++b) {
-                blockedActBank_[req.rank * cfg_->org.banksPerRank + b] = 1;
-            }
-        } else {
-            blockedActBank_[req.rank * cfg_->org.banksPerRank + req.bank] =
-                1;
+            continue;
         }
+        const auto [lo, hi] = targetBanks(req);
+        for (BankId b = lo; b <= hi; ++b)
+            blockedActBank_[req.rank * cfg_->org.banksPerRank + b] = 1;
     }
 
     // 1. Urgent refreshes, in policy priority order.
     for (const RefreshRequest &req : urgentScratch_) {
-        if (tryIssue(toCommand(req), now)) {
+        if (tryIssue(toCommand(req), now, Issued::kRefreshState)) {
             refreshSched_->onIssued(req, now);
             return;
         }
@@ -235,9 +274,9 @@ ChannelController::arbitrate(Tick now)
     // 2. Demand commands: writes during writeback mode, reads otherwise.
     RequestQueue &queue = writeDrain_.active() ? writeQ_ : readQ_;
     ++picks_;
-    const CmdChoice choice = FrFcfs::pick(queue, channel_, now,
-                                          blockedActBank_, blockedActRank_,
-                                          cfg_->org.banksPerRank);
+    const CmdChoice choice = FrFcfs::pick(
+        queue, channel_, now, blockedActBank_, blockedActRank_,
+        cfg_->org.banksPerRank, writeDrain_.active() ? writeScan_ : readScan_);
     if (choice.valid) {
         serveDemand(queue, choice, now);
         return;
@@ -249,14 +288,7 @@ ChannelController::arbitrate(Tick now)
     for (const RefreshRequest &req : urgentScratch_) {
         if (!req.blocking)
             continue;
-        int lo = req.bank, hi = req.bank;
-        if (req.allBank) {
-            lo = 0;
-            hi = cfg_->org.banksPerRank - 1;
-        } else if (req.sameBank) {
-            lo = req.bank * timing_->banksPerGroup;
-            hi = lo + timing_->banksPerGroup - 1;
-        }
+        const auto [lo, hi] = targetBanks(req);
         for (BankId b = lo; b <= hi; ++b) {
             const Bank &bank = channel_.rank(req.rank).bank(b);
             if (!bank.isOpen())
@@ -265,7 +297,7 @@ ChannelController::arbitrate(Tick now)
             pre.type = CommandType::kPre;
             pre.rank = req.rank;
             pre.bank = b;
-            if (tryIssue(pre, now))
+            if (tryIssue(pre, now, Issued::kAccess))
                 return;
         }
     }
@@ -286,8 +318,7 @@ ChannelController::arbitrate(Tick now)
                 continue;
             if (srDemandPending(r))
                 continue;
-            const Tick idle_at = lastDemandActivity_[r] +
-                static_cast<Tick>(cfg_->srIdleEntryCycles);
+            const Tick idle_at = srIdleAt(r);
             if (now < idle_at) {
                 waitUntil(idle_at);
                 continue;
@@ -295,22 +326,26 @@ ChannelController::arbitrate(Tick now)
             Command sre;
             sre.type = CommandType::kSrEnter;
             sre.rank = r;
-            if (tryIssue(sre, now)) {
+            if (tryIssue(sre, now, Issued::kRefreshState)) {
                 refreshSched_->onSrEnter(r, now);
                 return;
             }
         }
     }
 
-    // 5. Opportunistic refresh (DARP's idle-bank pull-in). Measure the
-    //    probe's RNG appetite: an inert tick reaches this point, so the
-    //    event engine replays exactly these draws per skipped tick.
+    // 5. Opportunistic refresh (DARP's idle-bank pull-in). Every tick
+    //    that issues nothing reaches this probe, so the event engine
+    //    replays the draws the policy declares for a fruitless probe
+    //    once per skipped tick; hold the policy to its declaration.
     RefreshRequest opp;
     const std::uint64_t draws_before = rng_.draws();
     const bool opp_wanted = refreshSched_->opportunistic(now, opp);
-    oppDraws_ = rng_.draws() - draws_before;
+    DSARP_ASSERT(opp_wanted || rng_.draws() - draws_before ==
+                     refreshSched_->idleProbeDraws(),
+                 "opportunistic() drew a different number of random "
+                 "numbers than idleProbeDraws() declares");
     if (opp_wanted) {
-        if (tryIssue(toCommand(opp), now)) {
+        if (tryIssue(toCommand(opp), now, Issued::kRefreshState)) {
             refreshSched_->onIssued(opp, now);
             return;
         }
@@ -321,8 +356,9 @@ void
 ChannelController::tick(Tick now)
 {
     ++stats_.ticks;
-    issuedThisTick_ = false;
-    enqueuedSinceTick_ = false;
+    issued_ = Issued::kNothing;
+    enqueueSteps_ = false;
+    enqueuedBanks_.clear();
 
     refreshSched_->tick(now);
     writeDrain_.update(writeQ_.size());
@@ -366,30 +402,100 @@ ChannelController::nextDelivery() const
 }
 
 Tick
+ChannelController::postIssueReadyAt(Tick now)
+{
+    const Tick enough = now + 1;
+    // The steps of arbitrate(), in its order, without issuing. The
+    // urgent list is the one this tick built: only a refresh, SRE or
+    // SRX (which force the step), a policy wake or a pull-in's
+    // readiness changes it. Its ACT blocks stand with it.
+    Tick ready = kTickNever;
+    const auto fold = [&](Tick t) {
+        ready = std::min(ready, t);
+        return ready <= enough;
+    };
+    for (RankId r = 0; r < channel_.numRanks(); ++r) {
+        if (channel_.rank(r).inSelfRefresh(now) && srDemandPending(r) &&
+            fold(channel_.rank(r).srExitReadyAt())) {
+            return ready;
+        }
+    }
+    for (const RefreshRequest &req : urgentScratch_) {
+        if (fold(channel_.readyAt(toCommand(req), now)))
+            return ready;
+        if (!req.blocking)
+            continue;
+        // Its precharge assist.
+        const auto [lo, hi] = targetBanks(req);
+        for (BankId b = lo; b <= hi; ++b) {
+            const Bank &bank = channel_.rank(req.rank).bank(b);
+            if (bank.isOpen() &&
+                fold(std::max(bank.preReadyAt(),
+                              channel_.rankReadyAt(
+                                  req.rank, CommandType::kPre, now)))) {
+                return ready;
+            }
+        }
+    }
+    const bool writes = writeDrain_.active();
+    if (fold(FrFcfs::readyAt(writes ? writeQ_ : readQ_, channel_, now,
+                             enough, blockedActBank_, blockedActRank_,
+                             cfg_->org.banksPerRank,
+                             writes ? writeScan_ : readScan_))) {
+        return ready;
+    }
+    if (cfg_->srIdleEntryCycles > 0) {
+        for (RankId r = 0; r < channel_.numRanks(); ++r) {
+            if (channel_.rank(r).inSelfRefresh(now) || srDemandPending(r))
+                continue;
+            if (fold(std::max(srIdleAt(r),
+                              channel_.rank(r).srEnterReadyAt()))) {
+                return ready;
+            }
+        }
+    }
+    return ready;
+}
+
+Tick
 ChannelController::nextWake(Tick now)
 {
-    // A tick that issued a command, or fresh work enqueued by a core
-    // after this controller ticked, may enable another command on the
-    // very next tick: step.
-    if (issuedThisTick_ || enqueuedSinceTick_)
+    // A refresh, SRE or SRX moved the refresh policy's state, which
+    // only its next urgent() call re-reads: step.
+    if (issued_ == Issued::kRefreshState)
         return now;
 
-    // Otherwise every arbitration step found nothing, and each answer
-    // holds until a command it tried becomes ready (readyAt_), the
-    // policy's own state moves, or a refresh it emits only once legal
-    // becomes so. The instants that keep a skipped span's stats
-    // constant complete the set; read deliveries are not wakes (see
-    // deliverReads()).
-    Tick wake = std::min({readyAt_, refreshSched_->nextWake(now),
-                          refreshSched_->pullInReadyAt(now),
-                          channel_.nextActivityChange(now)});
+    // Otherwise each arbitration answer holds until a command it would
+    // try becomes ready -- recorded as it went when nothing issued,
+    // re-derived from the new state after an access -- a request
+    // enqueued since adds a candidate, the policy's own state moves,
+    // or a refresh it emits only once legal becomes so. The instants
+    // that keep a skipped span's stats constant complete the set; read
+    // deliveries are not wakes (see deliverReads()).
+    // Cheapest first: most certificates end at the next tick. A pop to
+    // the low watermark or an enqueue to the high one flips the drain
+    // at the next update(), and the pick changes queues.
+    const Tick soon = now + 1;
+    if (writeDrain_.flipsAt(writeQ_.size()))
+        return soon;
+    Tick wake =
+        issued_ == Issued::kAccess ? postIssueReadyAt(now) : readyAt_;
+    if (wake <= soon)
+        return wake;
+    wake = std::min(wake, enqueueWake(now));
+    if (wake <= soon)
+        return wake;
+    wake = std::min({wake, refreshSched_->nextWake(now),
+                     channel_.nextActivityChange(now)});
     // Refresh policies skip a rank inside its tXS exit window.
     for (RankId r = 0; r < channel_.numRanks(); ++r) {
         const Tick lockout_end = channel_.rank(r).srExitLockoutUntil();
         if (lockout_end > now)
             wake = std::min(wake, lockout_end);
     }
-    return wake;
+    if (wake <= soon)
+        return wake;
+    return std::min(wake, refreshSched_->pullInReadyAt(now));
 }
 
 void
@@ -397,8 +503,8 @@ ChannelController::skipTicks(Tick firstTick, Tick ticks)
 {
     // Replay the linear per-tick effects of an inert tick() across the
     // span [firstTick, firstTick + ticks). Queue sizes, drain state,
-    // and every arbitration answer are frozen: nothing issued, nothing
-    // was enqueued, and the engine wakes at every nextWake() instant.
+    // and every arbitration answer are frozen: nothing issues, nothing
+    // is enqueued, and the engine wakes at every nextWake() instant.
     stats_.ticks += ticks;
     if (writeDrain_.active())
         stats_.writebackModeTicks += ticks;
@@ -406,7 +512,7 @@ ChannelController::skipTicks(Tick firstTick, Tick ticks)
         ticks * static_cast<std::uint64_t>(readQ_.size());
     stats_.writeQueueOccupancySum +=
         ticks * static_cast<std::uint64_t>(writeQ_.size());
-    rng_.discard(oppDraws_ * ticks);
+    rng_.discard(refreshSched_->idleProbeDraws() * ticks);
     refreshSched_->skipTicks(firstTick, ticks);
     channel_.sampleActivitySpan(firstTick, ticks);
 }

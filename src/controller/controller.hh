@@ -15,7 +15,9 @@
  * wants becomes legal. A tick that issues nothing therefore records the
  * earliest tick any command it tried can become legal -- each step
  * reports its own readiness, and the refresh policy reports its own --
- * and nextWake() sleeps the controller until then.
+ * and nextWake() sleeps the controller until then. A tick that issued
+ * a demand command re-derives the same readiness from the state the
+ * command left, and an enqueue adds its own bank's candidates.
  *
  * The controller implements ControllerView so refresh policies can
  * observe queue occupancies (DARP) and idleness (elastic refresh), and
@@ -31,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -91,19 +94,37 @@ class ChannelController : public ControllerView
 
     /**
      * Earliest tick strictly after @p now at which this controller
-     * could act differently than it just did. After a tick that issued
-     * nothing this is the minimum of the arbitration's readiness (the
-     * earliest tick any command it tried can become legal, see
-     * Channel::readyAt()), the refresh policy's wake and pull-in
-     * readiness, and the instants a skipped span's stats depend on
-     * (refresh ends, idle thresholds, tXS exit-window ends). Legality
-     * flips of commands nobody wants are not wakes, and neither are
-     * read deliveries (nextDelivery()). Returns @p now (forcing the
-     * one-tick step)
-     * whenever the tick at @p now issued a command or a core enqueued
-     * since -- only provably inert state may be skipped.
+     * could act differently than it just did: the minimum of the
+     * arbitration's readiness (the earliest tick any command it would
+     * try can become legal, see Channel::readyAt()), the readiness of
+     * the requests enqueued since the tick (enqueueWake()), the refresh
+     * policy's wake and pull-in readiness, and the instants a skipped
+     * span's stats depend on (refresh ends, idle thresholds, tXS
+     * exit-window ends). After a tick that issued nothing, the
+     * arbitration recorded its readiness as it went; after one that
+     * issued a demand command (or a precharge assist), a readiness
+     * scan of every arbitration step re-derives it from the new state
+     * (postIssueReadyAt()). Legality flips of commands nobody wants
+     * are not wakes, and neither are read deliveries (nextDelivery()).
+     * Returns @p now, forcing the one-tick step, only after a refresh,
+     * SRE or SRX: those move the refresh policy's own state, which
+     * only its next urgent() call re-reads.
      */
     Tick nextWake(Tick now);
+
+    /**
+     * Earliest tick after @p now at which the requests enqueued since
+     * the last tick() can change the arbitration's answer (kTickNever
+     * when they cannot): their banks' FR-FCFS candidates when they
+     * join the queue the pick serves, and the next tick when one
+     * reaches the write drain's high watermark or targets a rank in
+     * self-refresh. The event engine's enqueue hooks wake a dormant
+     * controller here; nextWake() folds it in.
+     */
+    Tick enqueueWake(Tick now) const;
+
+    /** True when the last tick() put a command on the bus. */
+    bool issuedAtLastTick() const { return issued_ != Issued::kNothing; }
 
     /**
      * Deliver the read data that has arrived by @p now; tick() does
@@ -122,8 +143,8 @@ class ChannelController : public ControllerView
      * for the event-driven engine: linear stat accrual (tick/occupancy/
      * writeback counters, activity sampling) plus a replay of the
      * per-tick RNG draws the opportunistic-refresh probe would have
-     * made. Bit-identical to ticking cycle by cycle across an inert
-     * span.
+     * made (RefreshScheduler::idleProbeDraws() per tick). Bit-identical
+     * to ticking cycle by cycle across an inert span.
      */
     void skipTicks(Tick firstTick, Tick ticks);
 
@@ -181,15 +202,55 @@ class ChannelController : public ControllerView
 
   private:
     void arbitrate(Tick now);
-    /** Issue @p cmd if legal now; otherwise fold its readiness into
-     *  readyAt_ and return false. */
-    bool tryIssue(const Command &cmd, Tick now);
+    /** What the last tick() put on the bus, for nextWake(). */
+    enum class Issued : std::uint8_t {
+        kNothing,
+        kAccess,        ///< A demand command or a precharge assist.
+        kRefreshState,  ///< A refresh, SRE or SRX.
+    };
+
+    /** Issue @p cmd if legal now, recording it as @p kind; otherwise
+     *  fold its readiness into readyAt_ and return false. */
+    bool tryIssue(const Command &cmd, Tick now, Issued kind);
     void waitUntil(Tick t) { readyAt_ = std::min(readyAt_, t); }
     Command toCommand(const RefreshRequest &req) const;
+
+    /** Banks [first, last] a refresh request targets. */
+    std::pair<BankId, BankId> targetBanks(const RefreshRequest &req) const;
+
+    /** First tick rank @p r has been idle long enough to enter
+     *  self-refresh. */
+    Tick
+    srIdleAt(RankId r) const
+    {
+        return lastDemandActivity_[r] +
+            static_cast<Tick>(cfg_->srIdleEntryCycles);
+    }
 
     /** Demand that needs the rank awake: queued reads, or queued
      *  writes once a write drain is active. */
     bool srDemandPending(RankId r) const;
+
+    /** The queue the pick serves: writes during writeback mode. */
+    const RequestQueue &
+    servedQueue() const
+    {
+        return writeDrain_.active() ? writeQ_ : readQ_;
+    }
+
+    /**
+     * Earliest tick after a demand-issuing tick at which some
+     * arbitration step can issue, from the state the command left:
+     * the minimum readiness of SRX, the urgent refreshes and their
+     * precharge assists, the FR-FCFS candidates (FrFcfs::readyAt())
+     * and SRE, for the queue the pick serves (nextWake() first checks
+     * that the write drain stays as it is). Stops at the first step
+     * ready by the next tick.
+     */
+    Tick postIssueReadyAt(Tick now);
+
+    /** Record a request just queued for enqueueWake(). */
+    void noteEnqueue(const Request &req, Tick now);
 
     /** Issue the chosen demand command and retire its request if column. */
     void serveDemand(RequestQueue &queue, const CmdChoice &choice, Tick now);
@@ -202,6 +263,8 @@ class ChannelController : public ControllerView
 
     RequestQueue readQ_;
     RequestQueue writeQ_;
+    CandidateCache readScan_;   ///< The pick's and scans', per queue.
+    CandidateCache writeScan_;
     WriteDrain writeDrain_;
     std::unique_ptr<RefreshScheduler> refreshSched_;
 
@@ -223,14 +286,15 @@ class ChannelController : public ControllerView
 
     /** @name Event-engine bookkeeping (see nextWake/skipTicks). */
     /// @{
-    bool issuedThisTick_ = false;    ///< Any command went out at tick().
-    bool enqueuedSinceTick_ = false; ///< A core enqueued after tick().
+    Issued issued_ = Issued::kNothing;  ///< See Issued.
     bool sendRejected_ = false;      ///< An enqueue bounced off a full queue.
     bool poppedWithRejection_ = false; ///< ...and a slot has freed since.
-    /** RNG draws the last inert opportunistic() probe made (replayed
-     *  once per skipped tick; lazy draws in urgent() cache themselves
-     *  and must not be replayed). */
-    std::uint64_t oppDraws_ = 0;
+    /** @name Enqueues since tick(), for enqueueWake(). */
+    /// @{
+    bool enqueueSteps_ = false;  ///< One wants the next tick.
+    /** Banks given a request in the queue the pick serves. */
+    std::vector<std::pair<RankId, BankId>> enqueuedBanks_;
+    /// @}
     /**
      * Earliest tick at which the last arbitrate() that issued nothing
      * could answer differently on its own: the minimum readiness of

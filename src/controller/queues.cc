@@ -11,6 +11,7 @@ RequestQueue::RequestQueue(int capacity, int ranks, int banks_per_rank)
       wordsPerRank_((banks_per_rank + 63) / 64)
 {
     banks_.resize(ranks * banks_per_rank);
+    versions_.assign(ranks * banks_per_rank, 0);
     occupied_.assign(ranks * wordsPerRank_, 0);
     entries_.reserve(capacity);
     seqs_.reserve(capacity);
@@ -29,8 +30,9 @@ RequestQueue::push(const Request &req)
 {
     if (full())
         return false;
-    banks_[bankIndex(req.loc.rank, req.loc.bank)].push_back(
-        {nextSeq_, req.addr, req.loc.row, req.isWrite});
+    const int idx = bankIndex(req.loc.rank, req.loc.bank);
+    banks_[idx].push_back({nextSeq_, req.addr, req.loc.row, req.isWrite});
+    ++versions_[idx];
     markOccupied(req.loc.rank, req.loc.bank, true);
     entries_.push_back(req);
     seqs_.push_back(nextSeq_++);
@@ -46,7 +48,9 @@ RequestQueue::pop(int i)
     entries_.erase(entries_.begin() + i);
     seqs_.erase(seqs_.begin() + i);
 
-    std::vector<Slot> &own = banks_[bankIndex(req.loc.rank, req.loc.bank)];
+    const int idx = bankIndex(req.loc.rank, req.loc.bank);
+    ++versions_[idx];
+    std::vector<Slot> &own = banks_[idx];
     auto it = own.begin();
     while (it != own.end() && it->seq != seq)
         ++it;

@@ -83,6 +83,10 @@ class RequestQueue
     /** Requests queued for flat bank @p idx, oldest first. */
     std::span<const Slot> bank(int idx) const { return banks_[idx]; }
 
+    /** Bumped by every push and pop on flat bank @p idx: equal
+     *  versions mean the same list. */
+    std::uint64_t bankVersion(int idx) const { return versions_[idx]; }
+
     /** Queued requests targeting a bank. */
     int
     bankCount(RankId r, BankId b) const
@@ -115,6 +119,7 @@ class RequestQueue
     std::vector<Request> entries_;
     std::vector<std::uint64_t> seqs_;  ///< Arrival numbers of entries_.
     std::vector<std::vector<Slot>> banks_;
+    std::vector<std::uint64_t> versions_;  ///< See bankVersion().
     std::vector<std::uint64_t> occupied_;
 };
 

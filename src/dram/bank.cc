@@ -45,6 +45,7 @@ void
 Bank::onAct(Tick now, RowId row, SubarrayId subarray)
 {
     DSARP_ASSERT(canAct(now, row), "illegal ACT");
+    ++version_;
     openRow_ = row;
     openSubarray_ = subarray;
     lastActAt_ = now;
@@ -57,6 +58,7 @@ void
 Bank::onRead(Tick now, bool auto_precharge)
 {
     DSARP_ASSERT(canRead(now), "illegal RD");
+    ++version_;
     colAllowedAt_ = std::max(colAllowedAt_, now + timing_->tCcd);
     // Read-to-precharge constraint.
     const Tick pre_ready =
@@ -73,6 +75,7 @@ void
 Bank::onWrite(Tick now, bool auto_precharge)
 {
     DSARP_ASSERT(canWrite(now), "illegal WR");
+    ++version_;
     colAllowedAt_ = std::max(colAllowedAt_, now + timing_->tCcd);
     // Write recovery: precharge may start tWR after the write data ends.
     const Tick data_end = now + timing_->tCwl + timing_->tBl;
@@ -90,6 +93,7 @@ void
 Bank::onPre(Tick now)
 {
     DSARP_ASSERT(canPre(now), "illegal PRE");
+    ++version_;
     openRow_ = kNone;
     openSubarray_ = kNone;
     actAllowedAt_ = std::max(actAllowedAt_, now + timing_->tRp);
@@ -100,6 +104,7 @@ Bank::onRefresh(Tick now, Cycles t_rfc, int rows, bool hidden)
 {
     DSARP_ASSERT(hidden ? canHiddenRefresh(now) : canRefresh(now),
                  "illegal refresh");
+    ++version_;
     if (rows == 0)
         rows = timing_->rowsPerRefresh;
     refreshSubarray_ = subarrayOf(refRowCounter_);

@@ -19,6 +19,8 @@
 #ifndef DSARP_DRAM_BANK_HH
 #define DSARP_DRAM_BANK_HH
 
+#include <cstdint>
+
 #include "common/types.hh"
 #include "dram/timing.hh"
 
@@ -99,6 +101,14 @@ class Bank
         return refreshing(now) && refreshHidden_;
     }
 
+    /** SARP: an ACT may target a non-refreshing subarray while the
+     *  bank refreshes. */
+    bool activatesWhileRefreshing() const { return sarp_; }
+
+    /** Bumped by every state transition: equal versions mean equal
+     *  readiness, so a cache keyed by it stays exact. */
+    std::uint64_t version() const { return version_; }
+
     /** Tick of the last ACT accepted (kTickNever before the first). */
     Tick lastActAt() const { return lastActAt_; }
 
@@ -130,6 +140,7 @@ class Bank
     Tick preAllowedAt_ = 0;   ///< Earliest precharge (tRAS/tRTP/tWR).
 
     Tick refreshUntil_ = 0;
+    std::uint64_t version_ = 0;  ///< See version().
     SubarrayId refreshSubarray_ = kNone;
     bool refreshHidden_ = false;
     RowId refRowCounter_ = 0;

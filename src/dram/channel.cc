@@ -45,27 +45,47 @@ Channel::writeBusReadyAt(RankId r) const
 }
 
 Tick
+Channel::rankReadyAt(RankId r, CommandType type, Tick now) const
+{
+    const Rank &rk = ranks_[r];
+    // A rank in self-refresh accepts only SRX, and nothing at all
+    // inside the tXS exit window; actRankReadyAt() folds that in.
+    switch (type) {
+      case CommandType::kAct:
+        return rk.actRankReadyAt(now);
+      case CommandType::kRd:
+      case CommandType::kRdA:
+        return std::max(rk.lockoutReadyAt(), readBusReadyAt(r));
+      case CommandType::kWr:
+      case CommandType::kWrA:
+        return std::max(rk.lockoutReadyAt(), writeBusReadyAt(r));
+      case CommandType::kPre:
+        return rk.lockoutReadyAt();
+      default:
+        break;
+    }
+    DSARP_PANIC("rankReadyAt() takes a demand command");
+}
+
+Tick
 Channel::readyAt(const Command &cmd, Tick now) const
 {
     const Rank &rk = ranks_[cmd.rank];
-    // A rank in self-refresh accepts only SRX, and nothing at all
-    // inside the tXS exit window. The rank-level readiness repeats
-    // this for ACT and refresh commands (schedulers query them
-    // directly); the bank-level paths are covered only here.
+    // The rank-level refresh and self-refresh readiness repeats the
+    // lockout (schedulers query them directly).
     switch (cmd.type) {
       case CommandType::kAct:
         return std::max(rk.bank(cmd.bank).actReadyAt(cmd.row),
-                        rk.actRankReadyAt(now));
+                        rankReadyAt(cmd.rank, cmd.type, now));
       case CommandType::kRd:
       case CommandType::kRdA:
-        return std::max({rk.lockoutReadyAt(), rk.bank(cmd.bank).colReadyAt(),
-                         readBusReadyAt(cmd.rank)});
       case CommandType::kWr:
       case CommandType::kWrA:
-        return std::max({rk.lockoutReadyAt(), rk.bank(cmd.bank).colReadyAt(),
-                         writeBusReadyAt(cmd.rank)});
+        return std::max(rk.bank(cmd.bank).colReadyAt(),
+                        rankReadyAt(cmd.rank, cmd.type, now));
       case CommandType::kPre:
-        return std::max(rk.lockoutReadyAt(), rk.bank(cmd.bank).preReadyAt());
+        return std::max(rk.bank(cmd.bank).preReadyAt(),
+                        rankReadyAt(cmd.rank, cmd.type, now));
       case CommandType::kRefPb:
         if (cmd.hidden) {
             return std::max(rk.refPbRankReadyAt(now),

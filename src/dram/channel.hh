@@ -79,6 +79,17 @@ class Channel
      */
     Tick readyAt(const Command &cmd, Tick now) const;
 
+    /**
+     * The rank- and bus-level half of readyAt() for a demand command
+     * (ACT, RD/RDA, WR/WRA or PRE) to rank @p r: the constraints every
+     * bank of the rank shares -- the tXS/self-refresh lockout, tRRD and
+     * tFAW with SARP inflation for ACT, the data bus and turnarounds
+     * for column commands. readyAt() is the later of this and the
+     * bank's own readiness, so a scan over many banks computes it once
+     * per rank and command class. Same @p now contract as readyAt().
+     */
+    Tick rankReadyAt(RankId r, CommandType type, Tick now) const;
+
     /** Full legality check: bank, rank, and data-bus constraints. */
     bool
     canIssue(const Command &cmd, Tick now) const

@@ -47,6 +47,9 @@ class DarpScheduler : public RefreshScheduler
      */
     Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
 
+    /** opportunistic() draws its random start bank on every call. */
+    std::uint64_t idleProbeDraws() const override { return 1; }
+
     /**
      * The opportunistic pull-in's candidates (banks with credit and no
      * pending demand) and, in writeback mode, Algorithm 1's (banks

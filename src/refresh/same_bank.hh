@@ -59,6 +59,14 @@ class SameBankScheduler : public RefreshScheduler
      */
     Tick nextWake(Tick) override { return ledger_.nextAccrualTick(); }
 
+    /** With the pull-in on, opportunistic() draws its random start
+     *  slice on every call. */
+    std::uint64_t
+    idleProbeDraws() const override
+    {
+        return pullInEnabled_ ? 1 : 0;
+    }
+
     /** The pull-in's candidates (slices with credit and no pending
      *  demand): the earliest tick any of them can take a REFsb. */
     Tick pullInReadyAt(Tick now) const override;

@@ -99,6 +99,15 @@ class RefreshScheduler
     /** A refresh to issue only because the channel is otherwise idle. */
     virtual bool opportunistic(Tick now, RefreshRequest &out) = 0;
 
+    /**
+     * Random numbers one opportunistic() call draws from
+     * ControllerView::schedulerRng() when it finds nothing. Every tick
+     * that issues nothing makes that call, so the event-driven engine
+     * replays this many draws per skipped tick; the controller asserts
+     * the count on every fruitless probe it runs. Default: none.
+     */
+    virtual std::uint64_t idleProbeDraws() const { return 0; }
+
     /** Notification that @p req was put on the command bus at @p now. */
     virtual void onIssued(const RefreshRequest &req, Tick now) = 0;
 
@@ -142,8 +151,9 @@ class RefreshScheduler
      * readiness is pullInReadyAt()'s. The event-driven engine sleeps
      * to the minimum over all components;
      * returning @p now is the always-safe default and forces the
-     * legacy one-tick step. Called only on ticks where the controller
-     * issued nothing.
+     * legacy one-tick step. Called after every tick that issued no
+     * refresh, SRE or SRX, from the state that tick left (a demand
+     * command may have issued, and requests may have been enqueued).
      */
     virtual Tick
     nextWake(Tick now)
@@ -159,9 +169,8 @@ class RefreshScheduler
      * (kTickNever when there are none). Like Channel::readyAt() it must
      * never be late: the event-driven engine sleeps through every tick
      * before the minimum of this, nextWake(), and the readiness of the
-     * commands the controller tried. Called only on ticks where the
-     * controller issued nothing; returning @p now is the always-safe
-     * default.
+     * commands the controller tried. Called when nextWake() is, from
+     * the same state; returning @p now is the always-safe default.
      */
     virtual Tick
     pullInReadyAt(Tick now) const

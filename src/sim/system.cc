@@ -124,35 +124,12 @@ System::build()
     if (openLoop) {
         injector_ = std::make_unique<TrafficInjector>(cfg_.traffic,
                                                       *map_, cfg_.seed);
-        injector_->bind(
-            [this](const Request &reqIn) {
-                Request req = reqIn;
-                req.loc = map_->decode(req.addr);
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                // Same dance as the core bind hooks: the injector runs
-                // in the core phase, so the dormant target controller
-                // must account through now_ + 1 before mutating, then
-                // wake for the first tick that can see the request.
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok = controllers_[ch]->enqueueRead(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
-            },
-            [this](const Request &reqIn) {
-                Request req = reqIn;
-                req.loc = map_->decode(req.addr);
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok = controllers_[ch]->enqueueWrite(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
-            });
+        const auto send = [this](const Request &reqIn) {
+            Request req = reqIn;
+            req.loc = map_->decode(req.addr);
+            return enqueue(static_cast<std::size_t>(req.loc.channel), req);
+        };
+        injector_->bind(send, send);
         return;
     }
 
@@ -160,48 +137,50 @@ System::build()
         cores_.push_back(
             std::make_unique<Core>(c, &cfg_.core, traces_[c]));
         Core *core = cores_.back().get();
+        const auto request = [this, c](Addr addr) {
+            Request req;
+            req.core = c;
+            req.addr = addr;
+            req.loc = map_->decode(addr);
+            req.arrival = now_;
+            return req;
+        };
         core->bind(
-            [this, c](std::uint64_t id, Addr addr) {
-                Request req;
+            [this, request](std::uint64_t id, Addr addr) {
+                Request req = request(addr);
                 req.id = id;
-                req.core = c;
-                req.isWrite = false;
-                req.addr = addr;
-                req.loc = map_->decode(addr);
-                req.arrival = now_;
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                // Controllers tick before cores, so a dormant target's
-                // tick at now_ sampled the pre-enqueue queues: account
-                // it through now_ before mutating, then wake it for the
-                // tick that can first see the request.
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok =
-                    controllers_[ch]->enqueueRead(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
+                return enqueue(static_cast<std::size_t>(req.loc.channel),
+                               req);
             },
-            [this, c](Addr addr) {
-                Request req;
-                req.id = 0;
-                req.core = c;
+            [this, request](Addr addr) {
+                Request req = request(addr);
                 req.isWrite = true;
-                req.addr = addr;
-                req.loc = map_->decode(addr);
-                req.arrival = now_;
-                const std::size_t ch =
-                    static_cast<std::size_t>(req.loc.channel);
-                if (eventRun_)
-                    ctlCatchUp(ch, now_ + 1);
-                const bool ok =
-                    controllers_[ch]->enqueueWrite(req, now_);
-                if (ok && eventRun_)
-                    ctlWake_[ch] = std::min(ctlWake_[ch], now_ + 1);
-                return ok;
+                return enqueue(static_cast<std::size_t>(req.loc.channel),
+                               req);
             });
     }
+}
+
+bool
+System::enqueue(std::size_t ch, const Request &req)
+{
+    ChannelController &ctl = *controllers_[ch];
+    // Controllers tick before the core phase, so a dormant target's
+    // tick at now_ sampled the pre-enqueue queues: account it through
+    // now_ before mutating.
+    if (eventRun_)
+        ctlCatchUp(ch, now_ + 1);
+    const std::uint64_t forwarded = ctl.stats().forwardedReads;
+    const bool ok = req.isWrite ? ctl.enqueueWrite(req, now_)
+                                : ctl.enqueueRead(req, now_);
+    if (ok && eventRun_) {
+        // A read served from the write queue arrives next tick.
+        if (ctl.stats().forwardedReads != forwarded)
+            ctlDeliver_[ch] = std::min(ctlDeliver_[ch], now_ + 1);
+        else if (ctlWake_[ch] > now_ + 1)
+            ctlWake_[ch] = std::min(ctlWake_[ch], ctl.enqueueWake(now_));
+    }
+    return ok;
 }
 
 void
@@ -280,6 +259,8 @@ System::runEvent(Tick end)
             const std::uint64_t picks = controllers_[i]->picks();
             controllers_[i]->tick(t);
             ++engine_.controllerTicks;
+            if (!controllers_[i]->issuedAtLastTick())
+                ++engine_.emptyTicks;
             engine_.picks += controllers_[i]->picks() - picks;
             ctlNext_[i] = t + 1;
             ctlRan_[i] = 1;
@@ -300,7 +281,8 @@ System::runEvent(Tick end)
             coreRan_[j] = 1;
         }
 
-        // Re-certify what executed; hook-set wakes (always t+1) stand.
+        // Re-certify what executed; a controller's certificate folds
+        // in the requests enqueued after its tick.
         Tick next = end;
         for (std::size_t i = 0; i < ncs; ++i) {
             if (ctlRan_[i]) {

@@ -103,6 +103,10 @@ class System
     struct EngineCounters
     {
         std::uint64_t controllerTicks = 0;  ///< Executed, not skipped.
+        /** Executed controller ticks that issued no command: wakes
+         *  whose certificate was a lower bound, or that only settle
+         *  policy or stat state. */
+        std::uint64_t emptyTicks = 0;
         std::uint64_t picks = 0;            ///< FR-FCFS picks they ran.
         /** Read deliveries made without a controller tick. */
         std::uint64_t deliveries = 0;
@@ -121,6 +125,16 @@ class System
     void runEvent(Tick end);
     /** Bulk-account a component's inert span [itsNext, t) (event engine). */
     void ctlCatchUp(std::size_t i, Tick t);
+
+    /**
+     * Hand one request to channel @p ch's controller from the core
+     * phase (a core or the open-loop injector); false when its queue
+     * is full. In the event engine the target's dormant span is
+     * accounted through now_ first, and the controller wakes when the
+     * request can first change its answer (enqueueWake()) or its data
+     * arrives (a read forwarded from the write queue).
+     */
+    bool enqueue(std::size_t ch, const Request &req);
     void coreCatchUp(std::size_t j, Tick t);
 
     /**

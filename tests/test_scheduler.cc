@@ -59,13 +59,14 @@ class FrFcfsTest : public ::testing::Test
     pick(Tick now)
     {
         return FrFcfs::pick(queue_, *channel_, now, noBlockBank_,
-                            noBlockRank_, 8);
+                            noBlockRank_, 8, cache_);
     }
 
     MemConfig cfg_;
     TimingParams timing_;
     std::unique_ptr<Channel> channel_;
     RequestQueue queue_;
+    CandidateCache cache_{16};
     std::vector<std::uint8_t> noBlockBank_;
     std::vector<std::uint8_t> noBlockRank_;
 };
@@ -314,6 +315,68 @@ scanPick(const RequestQueue &queue, const Channel &channel, Tick now,
     return choice;
 }
 
+/**
+ * Reference readiness of scanPick()'s candidates, one Channel::readyAt()
+ * each: every open bank's oldest hit per direction, the oldest request
+ * of every closed, unblocked bank (every request, and the refresh end,
+ * while a SARP bank refreshes), and the conflict precharges of the 16
+ * oldest. FrFcfs::readyAt() and a fruitless pick must report exactly
+ * this.
+ */
+Tick
+scanReadyAt(const RequestQueue &queue, const Channel &channel, Tick now,
+            const std::vector<std::uint8_t> &act_blocked_bank,
+            const std::vector<std::uint8_t> &act_blocked_rank,
+            int banks_per_rank)
+{
+    Tick ready = kTickNever;
+    std::vector<std::uint8_t> hit_seen(2 * act_blocked_bank.size(), 0);
+    std::vector<std::uint8_t> act_tried(act_blocked_bank.size(), 0);
+    for (int i = 0; i < queue.size(); ++i) {
+        const Request &req = queue.at(i);
+        const int idx = req.loc.rank * banks_per_rank + req.loc.bank;
+        const Bank &bank = channel.rank(req.loc.rank).bank(req.loc.bank);
+        Command cmd;
+        cmd.rank = req.loc.rank;
+        cmd.bank = req.loc.bank;
+        cmd.row = req.loc.row;
+        if (bank.isOpen()) {
+            std::uint8_t &seen = hit_seen[2 * idx + req.isWrite];
+            if (bank.openRow() != req.loc.row || seen)
+                continue;
+            seen = 1;
+            cmd.type = req.isWrite ? CommandType::kWr : CommandType::kRd;
+            ready = std::min(ready, channel.readyAt(cmd, now));
+            continue;
+        }
+        if (act_blocked_rank[req.loc.rank] || act_blocked_bank[idx] ||
+            act_tried[idx]) {
+            continue;
+        }
+        if (bank.refreshing(now) && bank.activatesWhileRefreshing())
+            ready = std::min(ready, bank.refreshUntil());
+        else
+            act_tried[idx] = 1;
+        cmd.type = CommandType::kAct;
+        ready = std::min(ready, channel.readyAt(cmd, now));
+    }
+    for (int i = 0; i < std::min(queue.size(), 16); ++i) {
+        const Request &req = queue.at(i);
+        const Bank &bank = channel.rank(req.loc.rank).bank(req.loc.bank);
+        if (!bank.isOpen() || bank.openRow() == req.loc.row ||
+            scanRowCount(queue, req.loc.rank, req.loc.bank, bank.openRow()) >
+                0) {
+            continue;
+        }
+        Command cmd;
+        cmd.type = CommandType::kPre;
+        cmd.rank = req.loc.rank;
+        cmd.bank = req.loc.bank;
+        ready = std::min(ready, channel.readyAt(cmd, now));
+    }
+    return ready;
+}
+
 void
 expectSameChoice(const CmdChoice &got, const CmdChoice &want, Tick now)
 {
@@ -372,6 +435,8 @@ differentialRun(int ranks, int banks, const char *policy, int num_states,
     const int rows_per_sa = cfg.org.rowsPerSubarray();
     RequestQueue queues[2] = {RequestQueue(64, ranks, banks),
                               RequestQueue(64, ranks, banks)};
+    CandidateCache caches[2] = {CandidateCache(ranks * banks),
+                                CandidateCache(ranks * banks)};
     std::vector<std::uint8_t> blocked_bank(ranks * banks, 0);
     std::vector<std::uint8_t> blocked_rank(ranks, 0);
     Rng rng(seed);
@@ -424,8 +489,21 @@ differentialRun(int ranks, int banks, const char *policy, int num_states,
             const CmdChoice want =
                 scanPick(q, channel, now, blocked_bank, blocked_rank, banks);
             chosen[w] = FrFcfs::pick(q, channel, now, blocked_bank,
-                                     blocked_rank, banks);
+                                     blocked_rank, banks, caches[w]);
             expectSameChoice(chosen[w], want, now);
+            // The readiness scan agrees with the reference: legal now
+            // when a command is, else exactly the reference instant.
+            const Tick scan = FrFcfs::readyAt(q, channel, now, now,
+                                              blocked_bank, blocked_rank,
+                                              banks, caches[w]);
+            if (want.valid) {
+                EXPECT_LE(scan, now) << "tick " << now;
+            } else {
+                const Tick ref = scanReadyAt(q, channel, now, blocked_bank,
+                                             blocked_rank, banks);
+                EXPECT_EQ(chosen[w].readyAt, ref) << "tick " << now;
+                EXPECT_EQ(scan, ref) << "tick " << now;
+            }
             if (::testing::Test::HasFailure())
                 return cov;
             ++states;

@@ -411,16 +411,81 @@ def rule_blessed_rng_sites(info, ctx, findings):
                  "replay between the cycle and event engines")
 
 
+NOT_A_TYPE = {"return", "case", "else", "do", "throw", "delete", "new",
+              "co_return", "co_yield", "goto"}
+
+
+def function_starts(toks):
+    """Per token index, the index where its enclosing function begins
+    (the '(' of its parameter list), or None at namespace/class scope.
+    A function body is a '{' after ')' (and cv/ref/exception
+    qualifiers) that no other function body encloses; lambdas and
+    blocks inside stay part of it."""
+    starts = [None] * len(toks)
+    stack = []      # open braces: True for an outermost function body
+    current = None  # '(' index of the open function, if any
+    for i, t in enumerate(toks):
+        if t.text == "{":
+            opens = False
+            if current is None:
+                j = i - 1
+                while j >= 0 and toks[j].text in ("const", "override",
+                                                  "noexcept", "final",
+                                                  "&", "&&"):
+                    j -= 1
+                if j >= 0 and toks[j].text == ")":
+                    depth = 0
+                    while j >= 0:
+                        if toks[j].text == ")":
+                            depth += 1
+                        elif toks[j].text == "(":
+                            depth -= 1
+                            if depth == 0:
+                                break
+                        j -= 1
+                    current = max(j, 0)
+                    opens = True
+            stack.append(opens)
+        starts[i] = current
+        if t.text == "}" and stack:
+            if stack.pop():
+                current = None
+    return starts
+
+
+def declared_double(toks, name, lo, hi):
+    """Whether the last declaration of @p name in toks[lo:hi] has type
+    double; None when it is not declared there."""
+    for k in range(hi - 1, lo, -1):
+        t = toks[k]
+        if t.kind != "id" or t.text != name or k + 1 >= len(toks):
+            continue
+        if toks[k + 1].text not in (";", "=", ",", "{", ")", "[", ":"):
+            continue
+        prev = toks[k - 1]
+        if not (prev.text in (">", "&", "*", "&&") or
+                (prev.kind == "id" and prev.text not in NOT_A_TYPE)):
+            continue
+        j = k - 1
+        while j > lo and toks[j].text in ("&", "*", "&&", "const"):
+            j -= 1
+        return toks[j].text == "double"
+    return None
+
+
 def rule_fp_accumulation_order(info, ctx, findings):
     rel = str(info.rel)
     if rel in FP_ACCUM_TUS:
         return
     toks = info.toks
     in_loop = ctx["loop_lines"][rel]
-    # Locals resolve within their own file; only member-style names
-    # (trailing underscore) carry over from headers tree-wide, so a
-    # local `x` here never collides with a `double x` elsewhere.
+    # A name resolves to its declaration in the enclosing function
+    # (parameters included), so a `std::string out` appended to here
+    # is not another function's `double &out`. Names the function does
+    # not declare resolve within their own file; only member-style
+    # names (trailing underscore) carry over from headers tree-wide.
     doubles = info.doubles | ctx["double_members"]
+    starts = None
     for i, t in enumerate(toks):
         if t.text != "+=" or t.kind != "punct":
             continue
@@ -432,7 +497,15 @@ def rule_fp_accumulation_order(info, ctx, findings):
         name = toks[j].text
         # Accept member chains: the accumulated lvalue is the last
         # identifier before '+='.
-        if name in doubles:
+        if name not in doubles:
+            continue
+        if starts is None:
+            starts = function_starts(toks)
+        local = None
+        if starts[i] is not None and (j == 0 or toks[j - 1].text not in
+                                      (".", "->", "::")):
+            local = declared_double(toks, name, starts[i], j)
+        if local is not False:
             emit(findings, info, t.line, "fp-accumulation-order",
                  f"double accumulation '{name} +=' inside a loop "
                  "outside the blessed accumulation points; if shard or "
@@ -628,6 +701,16 @@ SELF_TEST_CLEAN = {
         "        sum += xs[i];\n"
         "    }\n"
         "    return sum;\n"
+        "}\n",
+    # A string appended to in a loop, beside another function's
+    # `double &out`: the name resolves to its own function's string.
+    "src/sim/string_out.cc":
+        "#include <string>\n"
+        "void scale(double &out, double k) { out *= k; }\n"
+        "std::string join(const std::string *xs, int n) {\n"
+        "    std::string out;\n"
+        "    for (int i = 0; i < n; ++i) out += xs[i];\n"
+        "    return out;\n"
         "}\n",
     # Integer accumulation in a loop: not an fp-order hazard.
     "src/sim/int_sum.cc":
