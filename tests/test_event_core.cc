@@ -390,14 +390,14 @@ TEST(EventEngineEquivalence, WakeCountRatchet)
     const Point points[] = {{"open-tail", open, 14761, 14650},
                             {"closed DSARP", closed, 42416, 41924}};
     for (const Point &p : points) {
-        const Tick span = p.cfg.traffic.enabled() ? Tick(20832) : Tick(100000);
         std::unique_ptr<System> sys;
         if (p.cfg.traffic.enabled())
             sys = std::make_unique<System>(p.cfg);
         else
             sys = std::make_unique<System>(
                 p.cfg, makeWorkloads(1, p.cfg.numCores, 1)[0].benchIdx);
-        sys->run(span);
+        sys->run(p.cfg.traffic.enabled() ? Tick(0) + 8 * sys->timing().tRefiAb
+                                         : Tick(100000));
         const System::EngineCounters &n = sys->engineCounters();
         EXPECT_LE(n.controllerTicks, p.maxControllerTicks) << p.name;
         EXPECT_LE(n.picks, p.maxPicks) << p.name;
