@@ -31,12 +31,9 @@ namespace dsarp {
 enum class RefreshMode {
     kNoRefresh,  ///< Ideal baseline: refresh eliminated.
     kAllBank,    ///< REFab: rank-level refresh (DDR/LPDDR baseline).
-    kPerBank,    ///< REFpb: sequential round-robin per-bank (LPDDR).
-    kElastic,    ///< Elastic refresh [Stuecheli+, MICRO'10].
-    kDarp,       ///< DARP: out-of-order REFpb + write-refresh parallelization.
+    kPerBank,    ///< REFpb: per-bank refresh (LPDDR), in order or DARP's.
     kFgr2x,      ///< DDR4 fine granularity refresh, 2x rate.
     kFgr4x,      ///< DDR4 fine granularity refresh, 4x rate.
-    kAdaptive,   ///< Adaptive refresh (AR) [Mukundan+, ISCA'13]: 1x/4x FGR.
     kSameBank,   ///< REFsb: DDR5 same-bank refresh (one bank-group slice).
 };
 

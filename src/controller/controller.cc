@@ -180,11 +180,8 @@ ChannelController::targetBanks(const RefreshRequest &req) const
 bool
 ChannelController::tryIssue(const Command &cmd, Tick now, Issued kind)
 {
-    const Tick ready = channel_.readyAt(cmd, now);
-    if (ready > now) {
-        waitUntil(ready);
+    if (!channel_.canIssue(cmd, now))
         return false;
-    }
     channel_.issue(cmd, now);
     issued_ = kind;
     if (cmdLog_)
@@ -223,8 +220,6 @@ ChannelController::serveDemand(RequestQueue &queue, const CmdChoice &choice,
 void
 ChannelController::arbitrate(Tick now)
 {
-    readyAt_ = kTickNever;
-
     // 0. Self-refresh exit: a rank in self-refresh with demand that
     //    needs the DRAM must wake up. SRX is legal once the minimum
     //    residency tCKESR has elapsed; the first command after it then
@@ -281,7 +276,6 @@ ChannelController::arbitrate(Tick now)
         serveDemand(queue, choice, now);
         return;
     }
-    waitUntil(choice.readyAt);
 
     // 3. Precharge assist: a blocking refresh target still has a row
     //    open (e.g. read row hits stranded by writeback mode); close it.
@@ -316,13 +310,8 @@ ChannelController::arbitrate(Tick now)
         for (RankId r = 0; r < channel_.numRanks(); ++r) {
             if (channel_.rank(r).inSelfRefresh(now))
                 continue;
-            if (srDemandPending(r))
+            if (srDemandPending(r) || now < srIdleAt(r))
                 continue;
-            const Tick idle_at = srIdleAt(r);
-            if (now < idle_at) {
-                waitUntil(idle_at);
-                continue;
-            }
             Command sre;
             sre.type = CommandType::kSrEnter;
             sre.rank = r;
@@ -402,13 +391,15 @@ ChannelController::nextDelivery() const
 }
 
 Tick
-ChannelController::postIssueReadyAt(Tick now)
+ChannelController::arbitrationReadyAt(Tick now)
 {
     const Tick enough = now + 1;
     // The steps of arbitrate(), in its order, without issuing. The
     // urgent list is the one this tick built: only a refresh, SRE or
     // SRX (which force the step), a policy wake or a pull-in's
-    // readiness changes it. Its ACT blocks stand with it.
+    // readiness changes it. Its ACT blocks stand with it. The
+    // opportunistic pull-in is the policy's to report
+    // (pullInReadyAt()).
     Tick ready = kTickNever;
     const auto fold = [&](Tick t) {
         ready = std::min(ready, t);
@@ -465,21 +456,19 @@ ChannelController::nextWake(Tick now)
     if (issued_ == Issued::kRefreshState)
         return now;
 
-    // Otherwise each arbitration answer holds until a command it would
-    // try becomes ready -- recorded as it went when nothing issued,
-    // re-derived from the new state after an access -- a request
-    // enqueued since adds a candidate, the policy's own state moves,
-    // or a refresh it emits only once legal becomes so. The instants
-    // that keep a skipped span's stats constant complete the set; read
-    // deliveries are not wakes (see deliverReads()).
+    // Otherwise the arbitration's answer holds until a command it would
+    // try becomes ready (re-derived from the state the tick left), a
+    // request enqueued since adds a candidate, the policy's own state
+    // moves, or a refresh it emits only once legal becomes so. The
+    // instants that keep a skipped span's stats constant complete the
+    // set; read deliveries are not wakes (see deliverReads()).
     // Cheapest first: most certificates end at the next tick. A pop to
     // the low watermark or an enqueue to the high one flips the drain
     // at the next update(), and the pick changes queues.
     const Tick soon = now + 1;
     if (writeDrain_.flipsAt(writeQ_.size()))
         return soon;
-    Tick wake =
-        issued_ == Issued::kAccess ? postIssueReadyAt(now) : readyAt_;
+    Tick wake = arbitrationReadyAt(now);
     if (wake <= soon)
         return wake;
     wake = std::min(wake, enqueueWake(now));

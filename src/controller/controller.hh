@@ -12,12 +12,11 @@
  *
  * Wake contract (event-driven engine): the controller's decision changes
  * only when a command issues, a request arrives, or some command it
- * wants becomes legal. A tick that issues nothing therefore records the
- * earliest tick any command it tried can become legal -- each step
- * reports its own readiness, and the refresh policy reports its own --
- * and nextWake() sleeps the controller until then. A tick that issued
- * a demand command re-derives the same readiness from the state the
- * command left, and an enqueue adds its own bank's candidates.
+ * wants becomes legal. After each tick, arbitrationReadyAt() derives
+ * from the state the tick left the earliest tick any arbitration step
+ * can issue, the refresh policy reports its own readiness, and
+ * nextWake() sleeps the controller until the earlier of the two; an
+ * enqueue adds its own bank's candidates.
  *
  * The controller implements ControllerView so refresh policies can
  * observe queue occupancies (DARP) and idleness (elastic refresh), and
@@ -29,7 +28,6 @@
 #ifndef DSARP_CONTROLLER_CONTROLLER_HH
 #define DSARP_CONTROLLER_CONTROLLER_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -100,12 +98,11 @@ class ChannelController : public ControllerView
      * the requests enqueued since the tick (enqueueWake()), the refresh
      * policy's wake and pull-in readiness, and the instants a skipped
      * span's stats depend on (refresh ends, idle thresholds, tXS
-     * exit-window ends). After a tick that issued nothing, the
-     * arbitration recorded its readiness as it went; after one that
-     * issued a demand command (or a precharge assist), a readiness
-     * scan of every arbitration step re-derives it from the new state
-     * (postIssueReadyAt()). Legality flips of commands nobody wants
-     * are not wakes, and neither are read deliveries (nextDelivery()).
+     * exit-window ends). The arbitration's readiness is re-derived
+     * from the state the tick left (arbitrationReadyAt()), whether
+     * the tick issued a demand command, a precharge assist or
+     * nothing. Legality flips of commands nobody wants are not
+     * wakes, and neither are read deliveries (nextDelivery()).
      * Returns @p now, forcing the one-tick step, only after a refresh,
      * SRE or SRX: those move the refresh policy's own state, which
      * only its next urgent() call re-reads.
@@ -209,10 +206,8 @@ class ChannelController : public ControllerView
         kRefreshState,  ///< A refresh, SRE or SRX.
     };
 
-    /** Issue @p cmd if legal now, recording it as @p kind; otherwise
-     *  fold its readiness into readyAt_ and return false. */
+    /** Issue @p cmd if legal now, recording it as @p kind. */
     bool tryIssue(const Command &cmd, Tick now, Issued kind);
-    void waitUntil(Tick t) { readyAt_ = std::min(readyAt_, t); }
     Command toCommand(const RefreshRequest &req) const;
 
     /** Banks [first, last] a refresh request targets. */
@@ -239,15 +234,17 @@ class ChannelController : public ControllerView
     }
 
     /**
-     * Earliest tick after a demand-issuing tick at which some
-     * arbitration step can issue, from the state the command left:
-     * the minimum readiness of SRX, the urgent refreshes and their
-     * precharge assists, the FR-FCFS candidates (FrFcfs::readyAt())
-     * and SRE, for the queue the pick serves (nextWake() first checks
-     * that the write drain stays as it is). Stops at the first step
-     * ready by the next tick.
+     * Earliest tick after a tick that issued no refresh, SRE or SRX at
+     * which some arbitration step can issue, from the state the tick
+     * left: the minimum readiness of SRX, the urgent refreshes and
+     * their precharge assists, the FR-FCFS candidates
+     * (FrFcfs::readyAt()) and SRE with its idle threshold, for the
+     * queue the pick serves (nextWake() first checks that the write
+     * drain stays as it is). Stops at the first step ready by the next
+     * tick. The one derivation of the arbitration's readiness; the
+     * opportunistic pull-in's is the policy's (pullInReadyAt()).
      */
-    Tick postIssueReadyAt(Tick now);
+    Tick arbitrationReadyAt(Tick now);
 
     /** Record a request just queued for enqueueWake(). */
     void noteEnqueue(const Request &req, Tick now);
@@ -295,14 +292,6 @@ class ChannelController : public ControllerView
     /** Banks given a request in the queue the pick serves. */
     std::vector<std::pair<RankId, BankId>> enqueuedBanks_;
     /// @}
-    /**
-     * Earliest tick at which the last arbitrate() that issued nothing
-     * could answer differently on its own: the minimum readiness of
-     * every command it tried (SRX, urgent refreshes, the FR-FCFS
-     * pick's candidates, the precharge assist, SRE) and of the SRE
-     * idle thresholds it waited on.
-     */
-    Tick readyAt_ = kTickNever;
     std::uint64_t picks_ = 0;  ///< FR-FCFS picks run (see picks()).
     /// @}
 };

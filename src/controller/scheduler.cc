@@ -139,9 +139,10 @@ record(CandidateCache &cache, const RequestQueue &queue, const Bank &bank,
 /**
  * The shared parts of one rank's candidates (Channel::rankReadyAt()),
  * each computed at most once per command class and only when needed,
- * and the least bank part noted per class: the rank's candidates that
- * are not legal now are ready at the later of the two, so their
- * minimum is one max per class, folded in when the walk moves on.
+ * and, for the readiness scans, the least bank part noted per class:
+ * the rank's candidates that are not legal now are ready at the later
+ * of the two, so their minimum is one max per class, folded in before
+ * the walk moves on.
  */
 class RankFold
 {
@@ -171,9 +172,9 @@ class RankFold
         least_[c] = std::min(least_[c], bank_part);
     }
 
-    /** Fold the noted parts into @p ready; then walk rank @p r. */
+    /** Fold the noted parts into @p ready and forget them. */
     void
-    moveTo(RankId r, Tick &ready)
+    foldInto(Tick &ready)
     {
         for (int c = kRead; c <= kPre; ++c) {
             if (least_[c] < ready) {
@@ -182,8 +183,16 @@ class RankFold
             }
             least_[c] = kTickNever;
         }
-        rank_ = r;
-        known_ = 0;
+    }
+
+    /** Walk rank @p r from here on (a no-op when it is the current). */
+    void
+    select(RankId r)
+    {
+        if (r != rank_) {
+            rank_ = r;
+            known_ = 0;
+        }
     }
 
   private:
@@ -249,33 +258,14 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
     // of them. A candidate is legal once both its bank part and its
     // rank's shared part have passed.
     Best hit, act, pre;
-    // With nothing issuable, the earliest tick any candidate can
-    // become legal: until then the answer stays "nothing".
-    Tick ready = kTickNever;
     const std::uint64_t window_end = conflictWindowEnd(queue);
-    RankId rank_seen = -1;
     RankFold fold(channel, now);
-    // Whether a candidate is legal; one that is not counts toward the
-    // readiness.
     const auto legal = [&](RankFold::Class c, std::uint64_t seq,
                            Tick bank_part) {
-        if (seq == kNoSeq)
-            return false;
-        if (bank_part > now) {
-            fold.note(c, bank_part);
-            return false;
-        }
-        const Tick t = fold.shared(c);
-        if (t <= now)
-            return true;
-        ready = std::min(ready, t);
-        return false;
+        return seq != kNoSeq && bank_part <= now && fold.shared(c) <= now;
     };
     forEachOccupied(queue, [&](RankId r, BankId b) {
-        if (r != rank_seen) {
-            rank_seen = r;
-            fold.moveTo(r, ready);
-        }
+        fold.select(r);
         const int idx = r * banks_per_rank + b;
         const Bank &bank = channel.rank(r).bank(b);
         const Record &rec =
@@ -298,7 +288,6 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
             legal(RankFold::kPre, rec.conflictSeq, rec.pre)) {
             pre.offer(rec.conflictSeq, r, b);
         }
-        ready = std::min(ready, rec.refreshEnd);
         return false;
     });
 
@@ -346,10 +335,7 @@ FrFcfs::pick(const RequestQueue &queue, const Channel &channel, Tick now,
         choice.cmd.type = CommandType::kPre;
         choice.cmd.rank = pre.rank;
         choice.cmd.bank = pre.bank;
-        return choice;
     }
-    fold.moveTo(0, ready);  // The last rank's parts.
-    choice.readyAt = ready;
     return choice;
 }
 
@@ -366,9 +352,10 @@ FrFcfs::readyAt(const RequestQueue &queue, const Channel &channel, Tick now,
     forEachOccupied(queue, [&](RankId r, BankId b) {
         if (r != rank_seen) {
             rank_seen = r;
-            fold.moveTo(r, ready);
+            fold.foldInto(ready);
             if (ready <= enough)
                 return true;
+            fold.select(r);
         }
         const int idx = r * banks_per_rank + b;
         const Record &rec =
@@ -378,7 +365,7 @@ FrFcfs::readyAt(const RequestQueue &queue, const Channel &channel, Tick now,
         ready = std::min(ready, rec.refreshEnd);
         return false;
     });
-    fold.moveTo(0, ready);  // The last rank's parts.
+    fold.foldInto(ready);  // The last rank's parts.
     return ready;
 }
 
@@ -394,9 +381,9 @@ FrFcfs::bankReadyAt(const RequestQueue &queue, const Channel &channel,
          /*act_blocked=*/false);
     Tick ready = rec.refreshEnd;
     RankFold fold(channel, now);
-    fold.moveTo(r, ready);  // Nothing noted yet: just selects rank r.
+    fold.select(r);
     noteAll(fold, rec, conflictWindowEnd(queue));
-    fold.moveTo(r, ready);
+    fold.foldInto(ready);
     return ready;
 }
 

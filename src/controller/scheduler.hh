@@ -31,13 +31,6 @@ struct CmdChoice
     Command cmd;
     /** Queue index of the serviced request; -1 for ACT (request stays). */
     int queueIndex = -1;
-    /**
-     * Without a valid choice: the earliest tick at which a candidate
-     * the pick examined can become legal (kTickNever when none can
-     * without a command or an enqueue). The answer stays "nothing"
-     * until then.
-     */
-    Tick readyAt = kTickNever;
 };
 
 /**
@@ -89,11 +82,7 @@ class FrFcfs
      * occupied banks through its per-bank index, reading each bank's
      * candidates from @p cache (which must be used with this queue
      * only) and refilling a record from the bank's requests only when
-     * the bank or its requests changed. When nothing is issuable the
-     * choice reports its readiness: the minimum over the candidates
-     * (each open bank's oldest hit per direction, each ACT candidate,
-     * each conflict PRE) and the refresh ends of refreshing SARP banks,
-     * whose candidate sets shrink there.
+     * the bank or its requests changed.
      *
      * @param actBlockedBank per-(rank,bank) flags: suppress new ACTs.
      * @param actBlockedRank per-rank flags (all-bank refresh pending).
@@ -105,15 +94,18 @@ class FrFcfs
                           int banksPerRank, CandidateCache &cache);
 
     /**
-     * The readiness pick() would report, without picking: the earliest
-     * tick at which one of its candidates can issue if no command
-     * issues and nothing is enqueued first (<= @p now: one is legal
-     * now). The candidates are pick()'s, from the same @p cache, and
-     * each one's readiness splits into its bank's part and its rank's
-     * shared part (Channel::rankReadyAt()), computed once per rank and
-     * command class. The scan stops at the first readiness at or
-     * before @p enough and returns it: the caller only needs to know
-     * that the answer can change by then.
+     * When pick()'s answer can change on its own: the earliest tick at
+     * which one of its candidates can issue if no command issues and
+     * nothing is enqueued first (<= @p now: one is legal now). The
+     * candidates are pick()'s, from the same @p cache -- each open
+     * bank's oldest hit per direction, each ACT candidate, each
+     * conflict PRE -- plus the refresh ends of refreshing SARP banks,
+     * whose candidate sets shrink there. Each candidate's readiness
+     * splits into its bank's part and its rank's shared part
+     * (Channel::rankReadyAt()), computed once per rank and command
+     * class. The scan stops at the first readiness at or before
+     * @p enough and returns it: the caller only needs to know that the
+     * answer can change by then.
      */
     static Tick readyAt(const RequestQueue &queue, const Channel &channel,
                         Tick now, Tick enough,

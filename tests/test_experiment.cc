@@ -17,7 +17,10 @@
 
 #include "sim/config_keys.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 #include "sim/simulation.hh"
+#include "sim/system.hh"
+#include "workload/benchmark.hh"
 
 using namespace dsarp;
 
@@ -327,6 +330,69 @@ TEST(ExperimentConfig, EveryKeyReachesTheSystem)
     EXPECT_EQ(keyRows().size(), std::size(keys::kAllKeys));
     EXPECT_EQ(ExperimentConfig::knownKeys().size(),
               std::size(keys::kAllKeys));
+}
+
+namespace {
+
+/** A directly built alone run: @p bench on one core with refresh and
+ *  self-refresh off, the baseline Runner::aloneIpc() describes. */
+double
+directAloneIpc(SystemConfig sys, int bench, Tick warmup, Tick measure)
+{
+    sys.mem.policy = "NoREF";
+    sys.mem.srIdleEntryCycles = 0;
+    sys.numCores = 1;
+    sys.enableChecker = false;
+    System system(sys, std::vector<int>{bench});
+    system.run(warmup);
+    system.resetStats();
+    system.run(measure);
+    return system.coreIpc()[0];
+}
+
+} // namespace
+
+TEST(Runner, AloneIpcCacheKeySeesEveryKeyTheAloneRunReads)
+{
+    // Runner::aloneIpc() memoizes baselines under a key it builds by
+    // hand. A field the alone run reads but the key misses would serve
+    // the cached baseline of another config, with no error: for every
+    // key whose value changes a directly built alone run, the lookup
+    // must return the changed IPC once the default's is cached.
+    constexpr Tick kWarmup = 1000;
+    constexpr Tick kMeasure = 5000;
+    const int bench = benchmarkIndex("mcf-like");
+    Runner runner(kWarmup, kMeasure);
+    const SystemConfig defaults = ExperimentConfig{}.toSystemConfig();
+    const double base = directAloneIpc(defaults, bench, kWarmup, kMeasure);
+    ASSERT_EQ(runner.aloneIpc(bench, defaults), base);
+    int changing = 0;
+    for (const auto &[key, row] : keyRows()) {
+        // The seed changes the alone run but is left out of the key on
+        // purpose: the baseline counts as the benchmark's (see
+        // Runner::aloneIpc()).
+        if (key == keys::kSeed)
+            continue;
+        ExperimentConfig cfg;
+        ASSERT_EQ(cfg.trySet(key, row.value), "") << key;
+        // A value valid only beside other keys (a same-bank group size
+        // needs a DDR5 spec) builds no system, and an open-loop run has
+        // no alone baseline.
+        const SystemConfig sys = cfg.toSystemConfig();
+        if (!cfg.validate().empty() || sys.traffic.enabled())
+            continue;
+        const double ipc = directAloneIpc(sys, bench, kWarmup, kMeasure);
+        if (ipc == base)
+            continue;
+        ++changing;
+        EXPECT_EQ(runner.aloneIpc(bench, sys), ipc)
+            << "config key '" << key << "' changes the alone run but "
+            << "not Runner::aloneIpc()'s cache key";
+    }
+    // At these run lengths the spec, the channel, rank and bank counts
+    // and both write watermarks change the alone run; fewer would mean
+    // the run is too short to tell the keys apart.
+    EXPECT_GE(changing, 6);
 }
 
 TEST(ExperimentConfig, MechanismNameCanonicalises)

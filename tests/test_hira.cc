@@ -98,7 +98,7 @@ TEST(Hira, ResolvesFromTheRegistry)
     const auto &entry = registry.resolve(cfg);
     EXPECT_EQ(entry.name, "HiRA");
     EXPECT_EQ(cfg.policy, "HiRA");
-    EXPECT_EQ(cfg.refresh, RefreshMode::kDarp);  // Per-bank OoO profile.
+    EXPECT_EQ(cfg.refresh, RefreshMode::kPerBank);  // Per-bank profile.
     EXPECT_FALSE(cfg.sarp);                      // No chip modification.
     EXPECT_TRUE(cfg.hira);
 }

@@ -42,15 +42,15 @@ mechanisms()
         {"NoREF", RefreshMode::kNoRefresh, false, false},
         {"REFab", RefreshMode::kAllBank, false, false},
         {"REFpb", RefreshMode::kPerBank, false, false},
-        {"Elastic", RefreshMode::kElastic, false, false},
-        {"DARP", RefreshMode::kDarp, false, false},
+        {"Elastic", RefreshMode::kAllBank, false, false},
+        {"DARP", RefreshMode::kPerBank, false, false},
         {"SARPab", RefreshMode::kAllBank, true, false},
         {"SARPpb", RefreshMode::kPerBank, true, false},
-        {"DSARP", RefreshMode::kDarp, true, false},
+        {"DSARP", RefreshMode::kPerBank, true, false},
         {"FGR2x", RefreshMode::kFgr2x, false, false},
         {"FGR4x", RefreshMode::kFgr4x, false, false},
-        {"AR", RefreshMode::kAdaptive, false, false},
-        {"HiRA", RefreshMode::kDarp, false, true},
+        {"AR", RefreshMode::kAllBank, false, false},
+        {"HiRA", RefreshMode::kPerBank, false, true},
         {"REFsb", RefreshMode::kSameBank, false, false},
         {"HiRAsb", RefreshMode::kSameBank, false, true},
     };
@@ -103,9 +103,12 @@ TEST(Registry, ResolveAppliesConfigBundle)
         cfg.policy = mech.name;
         // Adversarial initial state: stale outputs of another bundle,
         // which resolve() must clear before applying this one.
-        cfg.refresh = RefreshMode::kElastic;  // lint: allow(bundle-output)
-        cfg.sarp = !mech.sarp;                // lint: allow(bundle-output)
-        cfg.hira = !mech.hira;                // lint: allow(bundle-output)
+        const RefreshMode stale = mech.mode == RefreshMode::kFgr4x
+            ? RefreshMode::kSameBank
+            : RefreshMode::kFgr4x;
+        cfg.refresh = stale;    // lint: allow(bundle-output)
+        cfg.sarp = !mech.sarp;  // lint: allow(bundle-output)
+        cfg.hira = !mech.hira;  // lint: allow(bundle-output)
         // Twice: re-resolving (e.g. a config copied out of a built
         // System) must reproduce the same config.
         for (int pass = 0; pass < 2; ++pass) {

@@ -406,7 +406,7 @@ def self_test():
         (root / "tests/test_enum_select.cc").unlink()
         (root / "src/refresh").mkdir(parents=True)
         (root / "src/refresh/policy.cc").write_text(
-            "void b(MemConfig &m) { m.refresh = RefreshMode::kDarp; }\n")
+            "void b(MemConfig &m) { m.refresh = RefreshMode::kPerBank; }\n")
         (root / "tests/test_bundle.cc").write_text(
             "bool on(const MemConfig &m) { return m.sarp == true; }\n"
             "void s(MemConfig &m) { m.hira = 1; }"
